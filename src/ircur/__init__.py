@@ -11,7 +11,6 @@ from .matcore import (
     ALLOCATIONS,
     PinvFactor,
     SvdFactors,
-    as_matrix,
     frob_norm,
     inf_norm,
     pinv_factor,
@@ -29,10 +28,8 @@ from .solver import (
     cur_eval_rows,
     hard_threshold,
     materialize,
-    phase1,
-    phase2,
-    residual_error,
     solve,
+    step,
     threshold_at,
 )
 from .synth import (
@@ -59,7 +56,6 @@ __all__ = [
     "SparseEstimate",
     "SvdFactors",
     "SyntheticSpec",
-    "as_matrix",
     "assumption_report",
     "cur_eval_cols",
     "cur_eval_rows",
@@ -72,14 +68,12 @@ __all__ = [
     "inf_norm",
     "make_problem",
     "materialize",
-    "phase1",
-    "phase2",
     "pinv_factor",
     "qr_thin",
-    "residual_error",
     "sample_count",
     "sample_indices",
     "solve",
+    "step",
     "submatrix",
     "success_check",
     "threshold_at",

@@ -291,7 +291,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     write_matrix(cur.C, out / f"C.{ext}", ext)
-    write_matrix(cur.core_pinv.dense_core(), out / f"core.{ext}", ext)
+    write_matrix(cur.core_pinv.dense(), out / f"core.{ext}", ext)
     write_matrix(cur.R, out / f"R.{ext}", ext)
     if args.svd:
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)

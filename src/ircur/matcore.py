@@ -54,25 +54,16 @@ def tracked(arr: np.ndarray) -> np.ndarray:
     return ALLOCATIONS.add_array(arr)
 
 
-def as_matrix(data, copy: bool = False) -> Matrix:
-    """Coerce ``data`` to a 2-D float64 column-major matrix.
-
-    Rejects non-finite entries; constructors never admit NaN/Inf.
-    """
-    M = np.array(data, dtype=np.float64, order="F", copy=copy or None)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains non-finite entries")
-    return M
-
-
 def require_finite(M: Matrix) -> Matrix:
-    """Validate an existing 2-D float64 array without copying it."""
+    """Validate an existing 2-D float64 array without copying it.
+
+    NaN and +-Inf propagate through min and max, so checking those two
+    reductions finds any non-finite entry without a temporary of M's size.
+    """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
+    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError("matrix contains non-finite entries")
     return M
 
@@ -140,17 +131,15 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
 
 
 @dataclass
-class PinvFactor:
+class PinvFactor(SvdFactors):
     """Pseudoinverse of a small matrix U, held in factored form.
 
-    Stores the SVD factors of U with singular values at or below
-    ``rel_cutoff * sigma_max`` zeroed for inversion, and applies U+ on
-    either side without ever materializing U+ densely.
+    Holds the SVD factors of U (so ``dense()`` rebuilds the rank-truncated
+    U itself), with singular values at or below ``rel_cutoff * sigma_max``
+    zeroed in ``inv_sigma``, and applies U+ on either side without ever
+    materializing U+ densely.
     """
 
-    W: Matrix              # rows(U) x k, orthonormal columns
-    sigma: np.ndarray      # k, nonincreasing >= 0
-    V: Matrix              # cols(U) x k, orthonormal columns
     inv_sigma: np.ndarray  # k, 1/sigma where kept, else 0
 
     @classmethod
@@ -187,10 +176,6 @@ class PinvFactor:
         T = tracked(X @ self.V)
         T *= self.inv_sigma
         return tracked(T @ self.W.T)
-
-    def dense_core(self) -> Matrix:
-        """Materialize the (rank-truncated) core U itself, W * diag(sigma) * V^T."""
-        return tracked((self.W * self.sigma) @ self.V.T)
 
 
 def pinv_factor(M: Matrix, rel_cutoff: float = PINV_CUTOFF) -> PinvFactor:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import Matrix
+from .matcore import Matrix, require_finite
 
 BIN_MAGIC = b"IRCM"
 _BIN_HEADER = struct.Struct("<4sii")
@@ -38,19 +38,6 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class MatrixFile:
-    """A matrix file path with its format ("bin" or "csv")."""
-
-    path: Path
-    format: str
-
-    def __post_init__(self) -> None:
-        self.path = Path(self.path)
-        if self.format not in ("bin", "csv"):
-            raise ValueError(f"format must be 'bin' or 'csv', got {self.format!r}")
-
-
 def _sniff_format(path: Path) -> str:
     if path.suffix.lower() == ".csv":
         return "csv"
@@ -63,7 +50,7 @@ def _sniff_format(path: Path) -> str:
         return "bin"
 
 
-def write_matrix(M: Matrix, path, fmt: str | None = None) -> MatrixFile:
+def write_matrix(M: Matrix, path, fmt: str | None = None) -> None:
     """Write M to ``path`` as BIN (default) or CSV."""
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "bin")
@@ -78,7 +65,6 @@ def write_matrix(M: Matrix, path, fmt: str | None = None) -> MatrixFile:
             fh.write(np.asarray(M, dtype="<f8").tobytes(order="F"))
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return MatrixFile(path, fmt)
 
 
 def read_matrix(path, fmt: str | None = None) -> Matrix:
@@ -97,28 +83,31 @@ def read_matrix(path, fmt: str | None = None) -> Matrix:
 
 
 def _read_bin(path: Path) -> Matrix:
-    data = path.read_bytes()
-    if len(data) < _BIN_HEADER.size:
-        raise FormatError("truncated header", path=path, offset=len(data))
-    magic, rows, cols = _BIN_HEADER.unpack_from(data)
-    if magic != BIN_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", path=path, offset=0)
-    if rows < 0 or cols < 0:
-        raise FormatError(f"negative dimensions {rows}x{cols}", path=path, offset=4)
-    expected = _BIN_HEADER.size + 8 * rows * cols
-    if len(data) < expected:
+    # fromfile reads the payload once, straight into the returned array.
+    size = path.stat().st_size
+    if size < _BIN_HEADER.size:
+        raise FormatError("truncated header", path=path, offset=size)
+    with open(path, "rb") as fh:
+        magic, rows, cols = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
+        if magic != BIN_MAGIC:
+            raise FormatError(f"bad magic {magic!r}", path=path, offset=0)
+        if rows < 0 or cols < 0:
+            raise FormatError(f"negative dimensions {rows}x{cols}", path=path, offset=4)
+        expected = _BIN_HEADER.size + 8 * rows * cols
+        if size < expected:
+            raise FormatError(
+                f"truncated payload, expected {expected} bytes", path=path, offset=size
+            )
+        if size > expected:
+            raise FormatError("trailing bytes after payload", path=path, offset=expected)
+        flat = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    try:
+        return require_finite(flat.reshape((rows, cols), order="F"))
+    except ValueError:
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise FormatError(
-            f"truncated payload, expected {expected} bytes", path=path, offset=len(data)
-        )
-    if len(data) > expected:
-        raise FormatError("trailing bytes after payload", path=path, offset=expected)
-    flat = np.frombuffer(data, dtype="<f8", offset=_BIN_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise FormatError(
-            "non-finite value", path=path, offset=_BIN_HEADER.size + 8 * int(bad[0])
-        )
-    return flat.reshape((rows, cols), order="F").copy(order="F")
+            "non-finite value", path=path, offset=_BIN_HEADER.size + 8 * bad
+        ) from None
 
 
 def _read_csv(path: Path) -> Matrix:

@@ -1,24 +1,23 @@
 """Iterated robust CUR solver for low-rank + sparse matrix recovery.
 
 Given an observed matrix D assumed to be the sum of a rank-r matrix L and
-a sparse outlier matrix S, the solver alternates two phases on a handful
-of sampled rows (I) and columns (J):
+a sparse outlier matrix S, the solver repeats one update, :func:`step`,
+on D and L_k restricted to a handful of sampled rows (I) and columns (J):
 
-  Phase I   threshold the residual D - L_k on the sampled slabs to update
-            the sparse estimate, with a geometrically decaying cutoff
+  Phase I   threshold the residual D - L_k on the sampled slabs to get
+            S_{k+1}, with a geometrically decaying cutoff
             zeta_k = gamma^(k-1) * zeta0;
-  Phase II  rebuild the low-rank estimate as a CUR decomposition of
-            D - S_{k+1}, rank-truncating only the small |I| x |J| core.
+  Phase II  rebuild L_{k+1} as a CUR decomposition of D - S_{k+1},
+            rank-truncating only the small |I| x |J| core;
 
-The full n x n estimates are never materialized: the low-rank iterate
-exists only as (C, core pseudoinverse, R) and the sparse iterate only on
-the sampled row/column slabs.  Iteration stops when the relative residual
-on the sampled slabs drops to ``eps``.
+then evaluates L_{k+1} on the same slabs for the stopping statistic, the
+relative slab residual of D - L_{k+1} - S_{k+1}; iteration stops when it
+drops to ``eps``.  The full n x n estimates are never materialized.
 
 Two index policies are provided: ``fixed`` keeps I, J for the whole run
 (fastest, minimal data access); ``resampled`` redraws them every iteration
-(more robust to an unlucky draw, slightly more work since the slab norms
-must be recomputed).
+(more robust to an unlucky draw, slightly more work since each draw
+gathers fresh slabs and evaluates L_k on them).
 """
 
 from __future__ import annotations
@@ -151,16 +150,9 @@ class SolverTrace:
 
 
 def hard_threshold(X: Matrix, zeta: float) -> Matrix:
-    """Entrywise hard thresholding: keep x iff |x| > zeta (strict), else 0."""
+    """In-place hard thresholding: zero every x with |x| <= zeta; returns X."""
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    mag = tracked(np.abs(X))
-    keep = tracked(mag > zeta)
-    return tracked(np.where(keep, X, 0.0))
-
-
-def _threshold_inplace(X: Matrix, zeta: float) -> Matrix:
-    # Same result as hard_threshold but mutates X; avoids the |X| temporary.
     low = tracked(X <= zeta)
     high = tracked(X >= -zeta)
     low &= high
@@ -177,35 +169,22 @@ def threshold_at(config: SolverConfig, k: int) -> float:
     return config.gamma**k * config.zeta0
 
 
-def _eval_rows_into(cur: CurFactors, rows: IndexSet, out: Matrix | None) -> Matrix:
-    c_rows = submatrix(cur.C, rows, None)
-    t = cur.core_pinv.apply_right(c_rows)
+def cur_eval_rows(cur: CurFactors, rows: IndexSet, out: Matrix | None = None) -> Matrix:
+    """Rows of the low-rank estimate, (C restricted to rows) * U+ * R, into
+    ``out`` if given.  Never allocates an n x n intermediate."""
+    t = cur.core_pinv.apply_right(submatrix(cur.C, rows, None))
     if out is None:
         return tracked(t @ cur.R)
-    np.matmul(t, cur.R, out=out)
-    return out
+    return np.matmul(t, cur.R, out=out)
 
 
-def _eval_cols_into(cur: CurFactors, cols: IndexSet, out: Matrix | None) -> Matrix:
-    r_cols = submatrix(cur.R, None, cols)
-    t = cur.core_pinv.apply_left(r_cols)
+def cur_eval_cols(cur: CurFactors, cols: IndexSet, out: Matrix | None = None) -> Matrix:
+    """Columns of the low-rank estimate, C * U+ * (R restricted to cols),
+    into ``out`` if given."""
+    t = cur.core_pinv.apply_left(submatrix(cur.R, None, cols))
     if out is None:
         return tracked(cur.C @ t)
-    np.matmul(cur.C, t, out=out)
-    return out
-
-
-def cur_eval_rows(cur: CurFactors, rows: IndexSet) -> Matrix:
-    """Rows of the low-rank estimate: (C restricted to rows) * U+ * R.
-
-    Never allocates an n x n intermediate.
-    """
-    return _eval_rows_into(cur, rows, None)
-
-
-def cur_eval_cols(cur: CurFactors, cols: IndexSet) -> Matrix:
-    """Columns of the low-rank estimate: C * U+ * (R restricted to cols)."""
-    return _eval_cols_into(cur, cols, None)
+    return np.matmul(cur.C, t, out=out)
 
 
 def materialize(cur: CurFactors) -> Matrix:
@@ -213,92 +192,78 @@ def materialize(cur: CurFactors) -> Matrix:
     return cur_eval_cols(cur, IndexSet.full(cur.cols.bound))
 
 
-def _sync_intersection(l_rows: Matrix, l_cols: Matrix, rows: IndexSet, cols: IndexSet) -> None:
+def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows=None, l_cols=None):
+    l_rows = cur_eval_rows(cur, rows, l_rows)
+    l_cols = cur_eval_cols(cur, cols, l_cols)
     # The row and column evaluations parenthesize C * U+ * R differently, so
     # their (I, J) blocks can differ in the last ulp.  Copy the row view into
     # the column view so downstream intersection blocks agree bitwise.
-    block = tracked(l_rows[:, cols.indices])
-    l_cols[rows.indices, :] = block
+    l_cols[rows.indices, :] = tracked(l_rows[:, cols.indices])
+    return l_rows, l_cols
 
 
-def _sub_into(a: Matrix, b: Matrix, out: Matrix | None) -> Matrix:
-    if out is None:
-        return tracked(a - b)
-    return np.subtract(a, b, out=out)
+@dataclass
+class Slabs:
+    """D[I, :], D[:, J], the low-rank estimate L on the same slabs (with
+    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F."""
+
+    rows: IndexSet
+    cols: IndexSet
+    d_rows: Matrix
+    d_cols: Matrix
+    l_rows: Matrix
+    l_cols: Matrix
+    den: float
 
 
-def phase1(D: Matrix, cur: CurFactors, zeta: float) -> SparseEstimate:
-    """Sparse update: threshold D - L_k on the sampled slabs."""
-    d_rows = submatrix(D, cur.rows, None)
-    d_cols = submatrix(D, None, cur.cols)
-    l_rows = cur_eval_rows(cur, cur.rows)
-    l_cols = cur_eval_cols(cur, cur.cols)
-    _sync_intersection(l_rows, l_cols, cur.rows, cur.cols)
-    row_values = hard_threshold(tracked(d_rows - l_rows), zeta)
-    col_values = hard_threshold(tracked(d_cols - l_cols), zeta)
-    return SparseEstimate(row_values, col_values, cur.rows, cur.cols)
-
-
-def phase2(D: Matrix, sparse: SparseEstimate, r: int) -> CurFactors:
-    """Low-rank update: CUR factors of D - S_{k+1} with a rank-r core.
-
-    The core H_r([D - S]_{I,J}) and its pseudoinverse share one SVD.
-    """
-    c_new = submatrix(D, None, sparse.cols)
-    c_new -= sparse.col_values
-    r_new = submatrix(D, sparse.rows, None)
-    r_new -= sparse.row_values
-    core = submatrix(r_new, None, sparse.cols)
-    fac = truncated_svd(core, r)
-    return CurFactors(
-        C=c_new,
-        core_pinv=PinvFactor.from_svd(fac),
-        R=r_new,
-        rows=sparse.rows,
-        cols=sparse.cols,
-    )
-
-
-def residual_error(D: Matrix, cur: CurFactors, sparse: SparseEstimate) -> float:
-    """Relative residual of D - L - S measured on the sampled slabs.
-
-    e = (||[D-L-S]_{I,:}||_F + ||[D-L-S]_{:,J}||_F)
-        / (||D_{I,:}||_F + ||D_{:,J}||_F),  0 if the denominator is 0.
-    """
-    d_rows = submatrix(D, cur.rows, None)
-    d_cols = submatrix(D, None, cur.cols)
+def sample_slabs(
+    D: Matrix, rows: IndexSet, cols: IndexSet, cur: CurFactors | None = None
+) -> Slabs:
+    """Gather D on rows/cols and evaluate ``cur`` there (L = 0 if None)."""
+    d_rows = submatrix(D, rows, None)
+    d_cols = submatrix(D, None, cols)
     den = frob_norm(d_rows) + frob_norm(d_cols)
-    if den == 0.0:
-        return 0.0
-    l_rows = cur_eval_rows(cur, cur.rows)
-    l_cols = cur_eval_cols(cur, cur.cols)
-    _sync_intersection(l_rows, l_cols, cur.rows, cur.cols)
-    res_rows = tracked(d_rows - l_rows)
-    res_rows -= sparse.row_values
-    res_cols = tracked(d_cols - l_cols)
-    res_cols -= sparse.col_values
-    return (frob_norm(res_rows) + frob_norm(res_cols)) / den
+    if cur is None:
+        l_rows = tracked(np.zeros((rows.size, D.shape[1])))
+        l_cols = tracked(np.zeros((D.shape[0], cols.size)))
+    else:
+        l_rows, l_cols = _eval_slabs(cur, rows, cols)
+    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 
-def _zero_state(
-    n1: int, n2: int, rows: IndexSet, cols: IndexSet, rank: int
-) -> tuple[CurFactors, SparseEstimate]:
-    # Iteration-0 state: L_0 = 0 and S_0 = 0, held in factor/slab form.
-    fac = truncated_svd(tracked(np.zeros((rows.size, cols.size))), rank)
-    cur = CurFactors(
-        C=tracked(np.zeros((n1, cols.size))),
-        core_pinv=PinvFactor.from_svd(fac),
-        R=tracked(np.zeros((rows.size, n2))),
-        rows=rows,
-        cols=cols,
-    )
-    sparse = SparseEstimate(
-        row_values=tracked(np.zeros((rows.size, n2))),
-        col_values=tracked(np.zeros((n1, cols.size))),
-        rows=rows,
-        cols=cols,
-    )
-    return cur, sparse
+def step(
+    slabs: Slabs, zeta: float, rank: int, scratch: tuple[Matrix, Matrix] | None = None
+) -> tuple[CurFactors, SparseEstimate, float]:
+    """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e).
+
+    S_{k+1} is D - L_k thresholded at ``zeta``; the core H_r([D - S]_{I,J})
+    and its pseudoinverse share one SVD.  L_{k+1} is evaluated into the
+    record's L slabs, so a fixed-index caller steps the same record again.
+    e = (||[D-L-S]_{I,:}||_F + ||[D-L-S]_{:,J}||_F) / den (0 if den is 0);
+    the residual goes into ``scratch`` (row- and column-slab buffers), by
+    default into the D slabs, which leaves the record spent.
+    """
+    rows, cols = slabs.rows, slabs.cols
+
+    # Phase I: sparse slab update.
+    s_rows = hard_threshold(tracked(slabs.d_rows - slabs.l_rows), zeta)
+    s_cols = hard_threshold(tracked(slabs.d_cols - slabs.l_cols), zeta)
+
+    # Phase II: CUR update with rank-truncated core.
+    c_new = tracked(slabs.d_cols - s_cols)
+    r_new = tracked(slabs.d_rows - s_rows)
+    fac = truncated_svd(submatrix(r_new, None, cols), rank)
+    cur = CurFactors(C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols)
+
+    # Stopping statistic on the slabs that produced this iterate.
+    _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
+    res_rows, res_cols = scratch or (slabs.d_rows, slabs.d_cols)
+    np.subtract(slabs.d_rows, slabs.l_rows, out=res_rows)
+    res_rows -= s_rows
+    np.subtract(slabs.d_cols, slabs.l_cols, out=res_cols)
+    res_cols -= s_cols
+    e = (frob_norm(res_rows) + frob_norm(res_cols)) / slabs.den if slabs.den else 0.0
+    return cur, SparseEstimate(s_rows, s_cols, rows, cols), e
 
 
 def solve(
@@ -327,15 +292,12 @@ def solve(
     m_cols = sample_count(n2, cfg.rank, cfg.c_cols)
     rows = sample_indices(n1, m_rows, gen)
     cols = sample_indices(n2, m_cols, gen)
-
-    d_rows = submatrix(D, rows, None)
-    d_cols = submatrix(D, None, cols)
-    den = frob_norm(d_rows) + frob_norm(d_cols)
+    slabs = sample_slabs(D, rows, cols)
 
     trace = SolverTrace()
-    if den == 0.0:
+    if slabs.den == 0.0:
         # Sampled slabs are identically zero: e_0 = 0, nothing to iterate.
-        cur, sparse = _zero_state(n1, n2, rows, cols, cfg.rank)
+        cur, sparse, _ = step(slabs, 0.0, cfg.rank)
         trace.errors.append(0.0)
         trace.converged = True
         return cur, sparse, trace
@@ -343,17 +305,13 @@ def solve(
         # den > 0 guarantees max |D| > 0, so this is a valid threshold.
         cfg = replace(cfg, zeta0=inf_norm(D))
 
-    # L_0 = 0: its sampled slabs are zero without any factor evaluation.
-    # With fixed indices the slab shapes never change, so the evaluation and
-    # residual buffers are allocated once and rewritten in place each
-    # iteration (only arrays that escape into the returned factors are
-    # freshly allocated).  Resampled mode reallocates per iteration.
+    # With fixed indices the slab shapes never change, so the residual goes
+    # into buffers allocated once.  Resampled mode writes it into each
+    # draw's D slabs, which are dead once the step returns.
     fixed = cfg.mode == "fixed"
-    l_rows = tracked(np.zeros((rows.size, n2)))
-    l_cols = tracked(np.zeros((n1, cols.size)))
-    ws_res_rows = tracked(np.empty((rows.size, n2))) if fixed else None
-    ws_res_cols = tracked(np.empty((n1, cols.size))) if fixed else None
-    cur: CurFactors | None = None
+    scratch = None
+    if fixed:
+        scratch = tracked(np.empty((rows.size, n2))), tracked(np.empty((n1, cols.size)))
 
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()
@@ -362,42 +320,11 @@ def solve(
         if not fixed and k > 0:
             rows = sample_indices(n1, m_rows, gen)
             cols = sample_indices(n2, m_cols, gen)
-            d_rows = submatrix(D, rows, None)
-            d_cols = submatrix(D, None, cols)
-            den = frob_norm(d_rows) + frob_norm(d_cols)
-            l_rows = cur_eval_rows(cur, rows)
-            l_cols = cur_eval_cols(cur, cols)
-            _sync_intersection(l_rows, l_cols, rows, cols)
-
-        zeta = cfg.gamma**k * cfg.zeta0
-
-        # Phase I: sparse slab update.
-        s_rows = _threshold_inplace(tracked(d_rows - l_rows), zeta)
-        s_cols = _threshold_inplace(tracked(d_cols - l_cols), zeta)
-        sparse = SparseEstimate(s_rows, s_cols, rows, cols)
-
-        # Phase II: CUR update with rank-truncated core.
-        c_new = tracked(d_cols - s_cols)
-        r_new = tracked(d_rows - s_rows)
-        core = submatrix(r_new, None, cols)
-        fac = truncated_svd(core, cfg.rank)
-        cur = CurFactors(
-            C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols
-        )
-
-        # Stopping statistic on the slabs that produced this iterate, written
-        # into the now-dead evaluation buffers.  With fixed indices the
-        # evaluations are reused by the next Phase I; with resampled indices
-        # the D slabs double as residual scratch since they are re-extracted
-        # at the top of the next iteration.
-        l_rows = _eval_rows_into(cur, rows, l_rows)
-        l_cols = _eval_cols_into(cur, cols, l_cols)
-        _sync_intersection(l_rows, l_cols, rows, cols)
-        res_rows = _sub_into(d_rows, l_rows, ws_res_rows if fixed else d_rows)
-        res_rows -= s_rows
-        res_cols = _sub_into(d_cols, l_cols, ws_res_cols if fixed else d_cols)
-        res_cols -= s_cols
-        e = (frob_norm(res_rows) + frob_norm(res_cols)) / den
+            slabs = None  # free the last draw's slabs before gathering new ones
+            slabs = sample_slabs(D, rows, cols, cur)
+        cur = sparse = None  # free the last iterate before step builds the next
+        zeta = threshold_at(cfg, k)
+        cur, sparse, e = step(slabs, zeta, cfg.rank, scratch)
 
         trace.errors.append(e)
         trace.thresholds.append(zeta)

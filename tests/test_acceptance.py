@@ -20,13 +20,7 @@ from ircur.mio import (
     write_matrix,
 )
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import (
-    SolverConfig,
-    SparseEstimate,
-    materialize,
-    phase2,
-    solve,
-)
+from ircur.solver import SolverConfig, materialize, sample_slabs, solve, step
 from ircur.synth import SyntheticSpec, gen_low_rank, make_data_matrix, make_problem, make_video
 
 
@@ -43,10 +37,9 @@ def exact_cur(L, r, m, seed):
     n1, n2 = L.shape
     rows = sample_indices(n1, min(n1, m), RngSeed(seed, 0))
     cols = sample_indices(n2, min(n2, m), RngSeed(seed, 1))
-    sparse = SparseEstimate(
-        np.zeros((rows.size, n2)), np.zeros((n1, cols.size)), rows, cols
-    )
-    return phase2(L, sparse, r)
+    # At zeta = max |L| the sparse update stays 0: the CUR factors of L.
+    cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
+    return cur
 
 
 def test_criterion_1_cur_identity():

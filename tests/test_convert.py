@@ -3,9 +3,9 @@ import pytest
 
 from ircur import matcore
 from ircur.convert import cur_to_svd, factors_to_svd
-from ircur.matcore import frob_norm, pinv_factor
+from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import SparseEstimate, materialize, phase2
+from ircur.solver import materialize, sample_slabs, step
 from ircur.synth import gen_low_rank
 
 rng = np.random.default_rng(123)
@@ -15,10 +15,9 @@ def exact_cur(L, r, seed):
     n1, n2 = L.shape
     rows = sample_indices(n1, min(n1, 4 * r + 8), RngSeed(seed, 0))
     cols = sample_indices(n2, min(n2, 4 * r + 8), RngSeed(seed, 1))
-    sparse = SparseEstimate(
-        np.zeros((rows.size, n2)), np.zeros((n1, cols.size)), rows, cols
-    )
-    return phase2(L, sparse, r)
+    # At zeta = max |L| the sparse update stays 0: the CUR factors of L.
+    cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
+    return cur
 
 
 def test_singular_values_match_dense_oracle():
@@ -101,10 +100,7 @@ def test_cost_scales_linearly_in_ambient_dimension():
         L = gen_low_rank(n, r, RngSeed(17))
         rows = sample_indices(n, 20, RngSeed(18))
         cols = sample_indices(n, 20, RngSeed(19))
-        sparse = SparseEstimate(
-            np.zeros((rows.size, n)), np.zeros((n, cols.size)), rows, cols
-        )
-        cur = phase2(L, sparse, r)
+        cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
         matcore.ALLOCATIONS.reset()
         factors_to_svd(cur)
         allocs[n] = matcore.ALLOCATIONS.count

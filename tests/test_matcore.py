@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,11 @@ from hypothesis import strategies as st
 
 from ircur import matcore
 from ircur.matcore import (
-    as_matrix,
     frob_norm,
     inf_norm,
     pinv_factor,
     qr_thin,
+    require_finite,
     submatrix,
     truncated_svd,
 )
@@ -17,18 +19,30 @@ from ircur.matcore import (
 rng = np.random.default_rng(20240817)
 
 
-def test_as_matrix_rejects_non_finite():
+def test_require_finite_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = rng.standard_normal((6, 5))
+        M[4, 1] = bad
+        with pytest.raises(ValueError):
+            require_finite(M)
     with pytest.raises(ValueError):
-        as_matrix([[1.0, np.nan]])
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf], [0.0]])
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
+        require_finite(np.array([1.0, 2.0]))
 
 
-def test_as_matrix_is_column_major():
-    M = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert M.flags.f_contiguous
+def test_require_finite_validates_without_copy():
+    for M in (np.ones((3, 2)), np.asfortranarray(np.ones((3, 2))), np.zeros((0, 4))):
+        assert require_finite(M) is M
+
+
+def test_require_finite_allocates_no_full_size_temporary():
+    M = rng.standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        require_finite(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_frob_norm_zero_matrix():

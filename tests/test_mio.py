@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_non_finite_payload_reports_offset(tmp_path):
     with pytest.raises(FormatError) as err:
         read_matrix(p, "bin")
     assert err.value.offset == 12 + 8  # second column-major slot
+
+
+def test_bin_read_holds_payload_once(tmp_path):
+    M = rng.standard_normal((1000, 1000))
+    p = tmp_path / "m.bin"
+    write_matrix(M, p)
+    tracemalloc.start()
+    try:
+        out = read_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * M.nbytes
+    assert out.flags.f_contiguous and out.flags.writeable
+    np.testing.assert_array_equal(out, M)
 
 
 def test_trailing_bytes_rejected(tmp_path):

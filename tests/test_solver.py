@@ -8,17 +8,13 @@ from ircur.matcore import frob_norm, inf_norm
 from ircur.sampling import IndexSet, RngSeed, sample_indices
 from ircur.solver import (
     SolverConfig,
-    SparseEstimate,
-    _threshold_inplace,
-    _zero_state,
     cur_eval_cols,
     cur_eval_rows,
     hard_threshold,
     materialize,
-    phase1,
-    phase2,
-    residual_error,
+    sample_slabs,
     solve,
+    step,
     threshold_at,
 )
 from ircur.synth import SyntheticSpec, gen_low_rank, make_problem
@@ -27,14 +23,10 @@ rng = np.random.default_rng(7)
 
 
 def exact_cur(L, rows, cols, r):
-    """CUR factors of an exactly rank-r L via a zero sparse estimate."""
-    sparse = SparseEstimate(
-        row_values=np.zeros((rows.size, L.shape[1])),
-        col_values=np.zeros((L.shape[0], cols.size)),
-        rows=rows,
-        cols=cols,
-    )
-    return phase2(L, sparse, r)
+    """CUR factors of an exactly rank-r L: at zeta = max |L| the sparse
+    update of a step from L_0 = 0 stays 0."""
+    cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
+    return cur
 
 
 # ---------------------------------------------------------------- thresholding
@@ -47,7 +39,7 @@ def test_hard_threshold_example():
 
 def test_hard_threshold_zero_cutoff_keeps_nonzeros():
     X = np.array([[0.0, -2.0], [1e-300, 0.0]])
-    out = hard_threshold(X, 0.0)
+    out = hard_threshold(X.copy(), 0.0)
     np.testing.assert_array_equal(out, X)
 
 
@@ -71,12 +63,11 @@ def test_hard_threshold_rejects_negative_cutoff():
 )
 @settings(max_examples=50)
 def test_hard_threshold_pointwise_definition(X, zeta):
-    out = hard_threshold(X, zeta)
-    inplace = _threshold_inplace(X.copy(), zeta)
-    for x, o, i in zip(X.ravel(), out.ravel(), inplace.ravel()):
-        expected = x if abs(x) > zeta else 0.0
-        assert o == expected
-        assert i == expected
+    work = X.copy()
+    out = hard_threshold(work, zeta)
+    assert out is work  # in place
+    for x, o in zip(X.ravel(), out.ravel()):
+        assert o == (x if abs(x) > zeta else 0.0)
 
 
 def test_threshold_at_examples():
@@ -107,7 +98,7 @@ def test_cur_eval_rank_one_example():
 def test_cur_eval_zero_factors_annihilate():
     rows = IndexSet(np.array([1, 3]), 6)
     cols = IndexSet(np.array([0, 2, 5]), 6)
-    cur, _ = _zero_state(6, 6, rows, cols, 2)
+    cur, _, _ = step(sample_slabs(np.zeros((6, 6)), rows, cols), 0.0, 2)
     assert not cur_eval_rows(cur, rows).any()
     assert not cur_eval_cols(cur, cols).any()
 
@@ -129,15 +120,14 @@ def test_materialize_recovers_full_matrix():
     assert frob_norm(materialize(cur) - L) <= 1e-9 * frob_norm(L)
 
 
-# ------------------------------------------------------------------- phase ops
+# ------------------------------------------------- one step: Phase I (sparse)
 
 
 def test_phase1_full_suppression_at_init():
     D = rng.standard_normal((8, 8))
     rows = sample_indices(8, 5, RngSeed(0))
     cols = sample_indices(8, 5, RngSeed(1))
-    cur, _ = _zero_state(8, 8, rows, cols, 2)
-    sparse = phase1(D, cur, inf_norm(D))
+    _, sparse, _ = step(sample_slabs(D, rows, cols), inf_norm(D), 2)
     assert not sparse.row_values.any()
     assert not sparse.col_values.any()
 
@@ -147,7 +137,7 @@ def test_phase1_zero_residual_for_exact_factors():
     rows = sample_indices(10, 8, RngSeed(5))
     cols = sample_indices(10, 8, RngSeed(6))
     cur = exact_cur(L, rows, cols, 2)
-    sparse = phase1(L, cur, 1e-8)
+    _, sparse, _ = step(sample_slabs(L, rows, cols, cur), 1e-8, 2)
     assert not sparse.row_values.any()
     assert not sparse.col_values.any()
 
@@ -158,8 +148,7 @@ def test_phase1_support_containment():
     inst = make_problem(SyntheticSpec(20, 2, 0.15, RngSeed(3)))
     rows = sample_indices(20, 15, RngSeed(7))
     cols = sample_indices(20, 15, RngSeed(8))
-    cur, _ = _zero_state(20, 20, rows, cols, 2)
-    sparse = phase1(inst.D, cur, inf_norm(inst.L))
+    _, sparse, _ = step(sample_slabs(inst.D, rows, cols), inf_norm(inst.L), 2)
     s_rows = inst.S[rows.indices, :]
     s_cols = inst.S[:, cols.indices]
     assert np.all((sparse.row_values != 0) <= (s_rows != 0))
@@ -171,10 +160,13 @@ def test_phase1_intersection_agrees_exactly():
     rows = sample_indices(15, 10, RngSeed(1))
     cols = sample_indices(15, 10, RngSeed(2))
     cur = exact_cur(gen_low_rank(15, 2, RngSeed(4)), rows, cols, 2)
-    sparse = phase1(inst.D, cur, 0.3)
+    _, sparse, _ = step(sample_slabs(inst.D, rows, cols, cur), 0.3, 2)
     block_from_rows = sparse.row_values[:, cols.indices]
     block_from_cols = sparse.col_values[rows.indices, :]
     np.testing.assert_array_equal(block_from_rows, block_from_cols)
+
+
+# ----------------------------------------------- one step: Phase II (low rank)
 
 
 def test_phase2_reproduces_exact_rank_r():
@@ -188,10 +180,7 @@ def test_phase2_reproduces_exact_rank_r():
 def test_phase2_zero_input():
     rows = sample_indices(6, 4, RngSeed(5))
     cols = sample_indices(6, 4, RngSeed(6))
-    sparse = SparseEstimate(
-        np.zeros((rows.size, 6)), np.zeros((6, cols.size)), rows, cols
-    )
-    cur = phase2(np.zeros((6, 6)), sparse, 2)
+    cur = exact_cur(np.zeros((6, 6)), rows, cols, 2)
     assert not materialize(cur).any()
 
 
@@ -199,10 +188,7 @@ def test_phase2_no_truncation_when_rank_exceeds_samples():
     D = rng.standard_normal((9, 9))
     rows = IndexSet(np.array([1, 4, 6]), 9)
     cols = IndexSet(np.array([0, 2, 8]), 9)
-    sparse = SparseEstimate(
-        np.zeros((rows.size, 9)), np.zeros((9, cols.size)), rows, cols
-    )
-    cur = phase2(D, sparse, 5)
+    cur = exact_cur(D, rows, cols, 5)
     dense = materialize(cur)
     np.testing.assert_allclose(dense[rows.indices, :], D[rows.indices, :], atol=1e-10)
     np.testing.assert_allclose(dense[:, cols.indices], D[:, cols.indices], atol=1e-10)
@@ -212,46 +198,30 @@ def test_phase2_core_rank_bounded():
     D = rng.standard_normal((30, 30))
     rows = sample_indices(30, 20, RngSeed(0))
     cols = sample_indices(30, 20, RngSeed(1))
-    sparse = SparseEstimate(
-        np.zeros((rows.size, 30)), np.zeros((30, cols.size)), rows, cols
-    )
-    cur = phase2(D, sparse, 4)
+    cur = exact_cur(D, rows, cols, 4)
     assert cur.core_pinv.effective_rank <= 4
 
 
-# -------------------------------------------------------------- residual error
-
-
-def test_residual_error_initial_state_is_one():
-    D = rng.standard_normal((12, 12))
-    rows = sample_indices(12, 8, RngSeed(2))
-    cols = sample_indices(12, 8, RngSeed(3))
-    cur, sparse = _zero_state(12, 12, rows, cols, 3)
-    assert residual_error(D, cur, sparse) == 1.0
+# -------------------------------------------------- one step: residual error
 
 
 def test_residual_error_exact_decomposition_is_zero():
     L = gen_low_rank(10, 2, RngSeed(6))
     rows = sample_indices(10, 8, RngSeed(4))
     cols = sample_indices(10, 8, RngSeed(5))
-    cur = exact_cur(L, rows, cols, 2)
-    sparse = SparseEstimate(
-        np.zeros((rows.size, 10)), np.zeros((10, cols.size)), rows, cols
-    )
-    assert residual_error(L, cur, sparse) <= 1e-12
+    _, _, e = step(sample_slabs(L, rows, cols), inf_norm(L), 2)
+    assert e <= 1e-12
 
 
 def test_residual_error_matches_dense_oracle_after_perturbation():
     L = gen_low_rank(10, 2, RngSeed(16))
     rows = sample_indices(10, 8, RngSeed(14))
     cols = sample_indices(10, 8, RngSeed(15))
-    cur = exact_cur(L, rows, cols, 2)
-    sparse = SparseEstimate(
-        np.zeros((rows.size, 10)), np.zeros((10, cols.size)), rows, cols
-    )
     D = L.copy()
     i, j = int(rows.indices[0]), 3
     D[i, j] += 0.25
+    cur, sparse, e = step(sample_slabs(D, rows, cols), inf_norm(D), 2)
+    assert not sparse.row_values.any() and not sparse.col_values.any()
 
     # Independent dense recomputation of the stopping statistic.
     L_dense = materialize(cur)
@@ -262,14 +232,15 @@ def test_residual_error_matches_dense_oracle_after_perturbation():
         D[:, cols.indices], "fro"
     )
     oracle = num / den
-    assert abs(residual_error(D, cur, sparse) - oracle) <= 1e-12 * oracle
+    assert oracle > 0
+    assert abs(e - oracle) <= 1e-12 * oracle
 
 
 def test_residual_error_zero_denominator():
     rows = sample_indices(5, 3, RngSeed(0))
     cols = sample_indices(5, 3, RngSeed(1))
-    cur, sparse = _zero_state(5, 5, rows, cols, 1)
-    assert residual_error(np.zeros((5, 5)), cur, sparse) == 0.0
+    _, _, e = step(sample_slabs(np.zeros((5, 5)), rows, cols), 0.0, 1)
+    assert e == 0.0
 
 
 # ------------------------------------------------------------------- solve
@@ -357,24 +328,26 @@ def test_solve_iteration_invariants(mode):
 
 
 def test_solve_matches_public_phase_ops_on_first_iteration():
-    # One fused solver iteration must agree bitwise with the public
-    # phase1 / phase2 / residual_error pipeline.
+    # The first solver iteration is one public step from L_0 = 0 on the
+    # first draw.  Resampled mode writes the residual into the D slabs, as
+    # a step without scratch does, so e agrees bitwise; fixed mode writes
+    # it into C-order buffers, whose summation order can move e by an ulp.
     inst = make_problem(SyntheticSpec(40, 3, 0.15, RngSeed(60)))
-    cfg = SolverConfig(rank=3, zeta0=inf_norm(inst.D), max_iter=1, seed=RngSeed(61))
-    cur1, sp1, tr1 = solve(inst.D, cfg)
-
-    zero_cur, _ = _zero_state(40, 40, cur1.rows, cur1.cols, 3)
-    sp_manual = phase1(inst.D, zero_cur, cfg.zeta0)
-    np.testing.assert_array_equal(sp_manual.row_values, sp1.row_values)
-    np.testing.assert_array_equal(sp_manual.col_values, sp1.col_values)
-
-    cur_manual = phase2(inst.D, sp_manual, 3)
-    np.testing.assert_array_equal(cur_manual.C, cur1.C)
-    np.testing.assert_array_equal(cur_manual.R, cur1.R)
-    np.testing.assert_array_equal(
-        cur_manual.core_pinv.sigma, cur1.core_pinv.sigma
-    )
-    assert residual_error(inst.D, cur_manual, sp_manual) == tr1.errors[0]
+    for mode in ("resampled", "fixed"):
+        cfg = SolverConfig(
+            rank=3, zeta0=inf_norm(inst.D), mode=mode, max_iter=1, seed=RngSeed(61)
+        )
+        cur1, sp1, tr1 = solve(inst.D, cfg)
+        cur, sp, e = step(sample_slabs(inst.D, cur1.rows, cur1.cols), cfg.zeta0, 3)
+        np.testing.assert_array_equal(sp.row_values, sp1.row_values)
+        np.testing.assert_array_equal(sp.col_values, sp1.col_values)
+        np.testing.assert_array_equal(cur.C, cur1.C)
+        np.testing.assert_array_equal(cur.R, cur1.R)
+        np.testing.assert_array_equal(cur.core_pinv.sigma, cur1.core_pinv.sigma)
+        if mode == "resampled":
+            assert e == tr1.errors[0]
+        else:
+            assert e == pytest.approx(tr1.errors[0], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])

@@ -3,7 +3,7 @@ import pytest
 
 from ircur.matcore import frob_norm, inf_norm
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import SolverConfig, SparseEstimate, materialize, phase2, solve
+from ircur.solver import SolverConfig, materialize, sample_slabs, solve, step
 from ircur.synth import (
     SyntheticSpec,
     assumption_report,
@@ -167,17 +167,9 @@ def test_success_check_true_and_false():
     L = gen_low_rank(15, 2, RngSeed(19))
     rows = sample_indices(15, 12, RngSeed(20))
     cols = sample_indices(15, 12, RngSeed(21))
-    exact = phase2(
-        L,
-        SparseEstimate(np.zeros((rows.size, 15)), np.zeros((15, cols.size)), rows, cols),
-        2,
-    )
+    exact, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), 2)
     assert success_check(exact, L)
-    zero = phase2(
-        np.zeros((15, 15)),
-        SparseEstimate(np.zeros((rows.size, 15)), np.zeros((15, cols.size)), rows, cols),
-        2,
-    )
+    zero, _, _ = step(sample_slabs(np.zeros((15, 15)), rows, cols), 0.0, 2)
     assert not success_check(zero, L)
     assert success_check(zero, np.zeros((15, 15)))  # absolute mode
 
