@@ -265,39 +265,34 @@ def _add_solver_flags(p: argparse.ArgumentParser, rank_default=5) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
-def _config_from(args, c_rows=None, c_cols=None) -> SolverConfig:
-    return SolverConfig(
+def _write_factors(args, **factors) -> Path:
+    """Write each named matrix as ``<name>.<format>`` into ``args.out_dir``."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, M in factors.items():
+        write_matrix(M, out / f"{name}.{args.format}", args.format)
+    return out
+
+
+def cmd_solve(args) -> int:
+    D = read_matrix(args.input)
+    cfg = SolverConfig(
         rank=args.rank,
         eps=args.eps,
         zeta0=args.zeta0,
         gamma=args.gamma,
-        c_rows=args.c_rows if c_rows is None else c_rows,
-        c_cols=args.c_cols if c_cols is None else c_cols,
+        c_rows=args.c_rows,
+        c_cols=args.c_cols,
         mode=args.mode,
         max_iter=args.max_iter,
         seed=RngSeed(args.seed),
     )
-
-
-def cmd_solve(args) -> int:
-    try:
-        D = read_matrix(args.input)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    cfg = _config_from(args)
     cur, _, trace = solve(D, cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    write_matrix(cur.C, out / f"C.{ext}", ext)
-    write_matrix(cur.core_pinv.dense(), out / f"core.{ext}", ext)
-    write_matrix(cur.R, out / f"R.{ext}", ext)
+    factors = {"C": cur.C, "core": cur.core_pinv.dense(), "R": cur.R}
     if args.svd:
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
-        write_matrix(fac.W, out / f"W.{ext}", ext)
-        write_matrix(fac.sigma.reshape(-1, 1), out / f"sigma.{ext}", ext)
-        write_matrix(fac.V, out / f"V.{ext}", ext)
+        factors.update(W=fac.W, sigma=fac.sigma.reshape(-1, 1), V=fac.V)
+    out = _write_factors(args, **factors)
     _write_csv(
         out / "trace.csv",
         "k,zeta,e,millis",
@@ -346,40 +341,27 @@ def cmd_bench(args) -> int:
 
 
 def cmd_video(args) -> int:
-    try:
-        run_video(
-            args.frames,
-            args.out_dir,
-            rank=args.rank,
-            c=args.c_rows,
-            c_cols=args.c_cols,
-            gamma=args.gamma,
-            eps=args.eps,
-            mode=args.mode,
-            max_iter=args.max_iter,
-            seed=RngSeed(args.seed),
-        )
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    run_video(
+        args.frames,
+        args.out_dir,
+        rank=args.rank,
+        c=args.c_rows,
+        c_cols=args.c_cols,
+        gamma=args.gamma,
+        eps=args.eps,
+        mode=args.mode,
+        max_iter=args.max_iter,
+        seed=RngSeed(args.seed),
+    )
     return EXIT_OK
 
 
 def cmd_cur2svd(args) -> int:
-    try:
-        C = read_matrix(args.c_file)
-        core = read_matrix(args.core_file)
-        R = read_matrix(args.r_file)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    C = read_matrix(args.c_file)
+    core = read_matrix(args.core_file)
+    R = read_matrix(args.r_file)
     fac = cur_to_svd(C, pinv_factor(core), R)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    write_matrix(fac.W, out / f"W.{ext}", ext)
-    write_matrix(fac.sigma.reshape(-1, 1), out / f"sigma.{ext}", ext)
-    write_matrix(fac.V, out / f"V.{ext}", ext)
+    _write_factors(args, W=fac.W, sigma=fac.sigma.reshape(-1, 1), V=fac.V)
     return EXIT_OK
 
 
@@ -446,8 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; unreadable or malformed files exit with EXIT_ERROR."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -35,9 +35,6 @@ class AllocationMeter:
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, units: int) -> None:
-        self.count += int(units)
-
     def add_array(self, arr: np.ndarray) -> np.ndarray:
         self.count += (arr.nbytes + 7) // 8
         return arr

@@ -101,8 +101,13 @@ def _read_bin(path: Path) -> Matrix:
         if size > expected:
             raise FormatError("trailing bytes after payload", path=path, offset=expected)
         flat = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    if flat.size != rows * cols:  # the file shrank after stat
+        raise FormatError(
+            "truncated payload", path=path, offset=_BIN_HEADER.size + 8 * flat.size
+        )
+    M = flat.reshape((rows, cols), order="F")
     try:
-        return require_finite(flat.reshape((rows, cols), order="F"))
+        return require_finite(M)
     except ValueError:
         bad = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise FormatError(

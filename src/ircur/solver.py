@@ -170,18 +170,24 @@ def threshold_at(config: SolverConfig, k: int) -> float:
 
 
 def cur_eval_rows(cur: CurFactors, rows: IndexSet, out: Matrix | None = None) -> Matrix:
-    """Rows of the low-rank estimate, (C restricted to rows) * U+ * R, into
-    ``out`` if given.  Never allocates an n x n intermediate."""
-    t = cur.core_pinv.apply_right(submatrix(cur.C, rows, None))
+    """Rows of the low-rank estimate: (C restricted to rows) * U+ * R.
+
+    Written into ``out`` if given.  Never allocates an n x n intermediate.
+    """
+    c_rows = submatrix(cur.C, rows, None)
+    t = cur.core_pinv.apply_right(c_rows)
     if out is None:
         return tracked(t @ cur.R)
     return np.matmul(t, cur.R, out=out)
 
 
 def cur_eval_cols(cur: CurFactors, cols: IndexSet, out: Matrix | None = None) -> Matrix:
-    """Columns of the low-rank estimate, C * U+ * (R restricted to cols),
-    into ``out`` if given."""
-    t = cur.core_pinv.apply_left(submatrix(cur.R, None, cols))
+    """Columns of the low-rank estimate: C * U+ * (R restricted to cols).
+
+    Written into ``out`` if given.
+    """
+    r_cols = submatrix(cur.R, None, cols)
+    t = cur.core_pinv.apply_left(r_cols)
     if out is None:
         return tracked(cur.C @ t)
     return np.matmul(cur.C, t, out=out)
@@ -198,7 +204,8 @@ def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows=None, l_
     # The row and column evaluations parenthesize C * U+ * R differently, so
     # their (I, J) blocks can differ in the last ulp.  Copy the row view into
     # the column view so downstream intersection blocks agree bitwise.
-    l_cols[rows.indices, :] = tracked(l_rows[:, cols.indices])
+    block = tracked(l_rows[:, cols.indices])
+    l_cols[rows.indices, :] = block
     return l_rows, l_cols
 
 
@@ -252,8 +259,11 @@ def step(
     # Phase II: CUR update with rank-truncated core.
     c_new = tracked(slabs.d_cols - s_cols)
     r_new = tracked(slabs.d_rows - s_rows)
-    fac = truncated_svd(submatrix(r_new, None, cols), rank)
-    cur = CurFactors(C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols)
+    core = submatrix(r_new, None, cols)
+    fac = truncated_svd(core, rank)
+    cur = CurFactors(
+        C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols
+    )
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
@@ -311,7 +321,10 @@ def solve(
     fixed = cfg.mode == "fixed"
     scratch = None
     if fixed:
-        scratch = tracked(np.empty((rows.size, n2))), tracked(np.empty((n1, cols.size)))
+        scratch = (
+            tracked(np.empty((rows.size, n2))),
+            tracked(np.empty((n1, cols.size))),
+        )
 
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()

@@ -163,9 +163,7 @@ def make_problem(spec: SyntheticSpec) -> ProblemInstance:
     A, B = _gaussian_parts(spec.n, spec.rank, gen)
     L = A @ B.T
     mu = _coherence_hint(A, B)
-    support, values = _sparse_parts(L, spec.alpha, gen)
-    S = np.zeros(L.shape)
-    S.flat[support] = values
+    S = gen_sparse(L, spec.alpha, gen)
     D = L + S
     return ProblemInstance(
         D=D,

@@ -70,6 +70,20 @@ def test_non_finite_payload_reports_offset(tmp_path):
     assert err.value.offset == 12 + 8  # second column-major slot
 
 
+def test_payload_shrunk_after_stat_is_format_error(tmp_path, monkeypatch):
+    # The size check uses stat; a file cut short before the payload read
+    # must still fail as a FormatError at the offset where the data ends.
+    p = tmp_path / "m.bin"
+    write_matrix(np.ones((2, 2)), p)
+    fromfile = np.fromfile
+    monkeypatch.setattr(
+        np, "fromfile", lambda fh, dtype, count: fromfile(fh, dtype=dtype, count=count - 1)
+    )
+    with pytest.raises(FormatError) as err:
+        read_matrix(p, "bin")
+    assert err.value.offset == 12 + 8 * 3
+
+
 def test_bin_read_holds_payload_once(tmp_path):
     M = rng.standard_normal((1000, 1000))
     p = tmp_path / "m.bin"

@@ -329,25 +329,26 @@ def test_solve_iteration_invariants(mode):
 
 def test_solve_matches_public_phase_ops_on_first_iteration():
     # The first solver iteration is one public step from L_0 = 0 on the
-    # first draw.  Resampled mode writes the residual into the D slabs, as
-    # a step without scratch does, so e agrees bitwise; fixed mode writes
-    # it into C-order buffers, whose summation order can move e by an ulp.
+    # first draw, with the residual written where solve writes it: into
+    # C-order buffers in fixed mode, into the D slabs (no scratch) in
+    # resampled mode.  Everything, e included, agrees bitwise.
     inst = make_problem(SyntheticSpec(40, 3, 0.15, RngSeed(60)))
     for mode in ("resampled", "fixed"):
         cfg = SolverConfig(
             rank=3, zeta0=inf_norm(inst.D), mode=mode, max_iter=1, seed=RngSeed(61)
         )
         cur1, sp1, tr1 = solve(inst.D, cfg)
-        cur, sp, e = step(sample_slabs(inst.D, cur1.rows, cur1.cols), cfg.zeta0, 3)
+        scratch = None
+        if mode == "fixed":
+            scratch = (np.empty((cur1.rows.size, 40)), np.empty((40, cur1.cols.size)))
+        slabs = sample_slabs(inst.D, cur1.rows, cur1.cols)
+        cur, sp, e = step(slabs, cfg.zeta0, 3, scratch)
         np.testing.assert_array_equal(sp.row_values, sp1.row_values)
         np.testing.assert_array_equal(sp.col_values, sp1.col_values)
         np.testing.assert_array_equal(cur.C, cur1.C)
         np.testing.assert_array_equal(cur.R, cur1.R)
         np.testing.assert_array_equal(cur.core_pinv.sigma, cur1.core_pinv.sigma)
-        if mode == "resampled":
-            assert e == tr1.errors[0]
-        else:
-            assert e == pytest.approx(tr1.errors[0], rel=1e-14, abs=0)
+        assert e == tr1.errors[0]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
