@@ -12,8 +12,9 @@ import sys
 
 import numpy as np
 
-from ircur.cli import run_bench
+from ircur.experiments import run_bench
 from ircur.sampling import RngSeed
+from ircur.solver import SolverConfig
 
 
 def main() -> int:
@@ -28,7 +29,10 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
 
     for mode in args.modes.split(","):
-        rows = run_bench(sizes, args.rank, args.alpha, args.c, mode, RngSeed(args.seed))
+        cfg = SolverConfig(
+            rank=args.rank, c_rows=args.c, c_cols=args.c, mode=mode, seed=RngSeed(args.seed)
+        )
+        rows = run_bench(sizes, args.alpha, cfg)
         out = f"bench_{mode}.csv"
         with open(out, "w") as fh:
             fh.write("n,iterations,total_seconds,seconds_per_iteration,final_e\n")

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ircur.cli import run_video
+from ircur.experiments import run_video
 from ircur.mio import FrameSequence, read_frame_dir, write_frame_dir
 from ircur.sampling import RngSeed
+from ircur.solver import SolverConfig
 from ircur.synth import make_video
 
 
@@ -37,7 +38,11 @@ def main() -> int:
     write_frame_dir(FrameSequence(frames), frame_dir)
     print(f"wrote {args.frames} input frames to {frame_dir}")
 
-    run_video(frame_dir, out, rank=args.rank, c=args.c, seed=RngSeed(args.seed + 1))
+    cfg = SolverConfig(
+        rank=args.rank, c_rows=args.c, c_cols=args.c, mode="resampled",
+        seed=RngSeed(args.seed + 1),
+    )
+    run_video(frame_dir, out, cfg)
 
     recovered = read_frame_dir(out / "background")
     err = np.abs(recovered.pixels.astype(float) - background.astype(float))

@@ -1,4 +1,4 @@
-"""Command-line harness: solve, experiment grids, and CUR-to-SVD conversion.
+"""Command-line harness: solve, the paper's experiments, and CUR-to-SVD conversion.
 
 Subcommands
 -----------
@@ -11,224 +11,38 @@ bench             runtime scaling over problem sizes; CSV rows
 video             background/foreground separation of a PGM frame directory
 cur2svd           convert stored CUR factors to compact SVD factors
 
+A subcommand accepts only the solver flags it uses.  phase-transition and
+bench generate their instances, so zeta0 is 2*max|L| there and takes no
+--zeta0; phase-transition also sets c_rows = c_cols = c from --c-grid and
+takes no --c-rows/--c-cols.
+
 All commands are deterministic given --seed.  The IRCUR_THREADS
-environment variable caps harness parallelism (0 = serial, the default);
-parallel execution changes neither results nor row order.
+environment variable sets the number of phase-transition trial threads
+(0 = serial, the default); parallel execution changes neither results nor
+row order.  Trial threads compete with BLAS threads, so pair it with
+OPENBLAS_NUM_THREADS=1 (or your BLAS's equivalent): on a 2-core OpenBLAS
+machine, a 16-trial n=300 grid command took 1.4 s serial, 1.9 s with
+IRCUR_THREADS=2 alone, and 0.8 s with OPENBLAS_NUM_THREADS=1 added
+(medians of 5 runs).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .convert import cur_to_svd
-from .matcore import inf_norm, pinv_factor
-from .mio import (
-    FormatError,
-    frames_to_matrix,
-    matrix_to_frames,
-    read_frame_dir,
-    read_matrix,
-    write_matrix,
-    write_pgm,
-)
-from .sampling import IndexSet, RngSeed
-from .solver import SolverConfig, cur_eval_cols, solve
-from .synth import SyntheticSpec, gen_low_rank, gen_sparse, make_data_matrix, success_check
+from .experiments import ExperimentGrid, run_bench, run_phase_transition, run_video
+from .matcore import pinv_factor
+from .mio import FormatError, read_matrix, write_matrix
+from .sampling import RngSeed
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
-
-
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """A phase-transition grid: sampling constants x corruption rates."""
-
-    c_values: tuple[float, ...]
-    alpha_values: tuple[float, ...]
-    trials: int
-    base_seed: RngSeed
-    rank: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not self.c_values or not self.alpha_values:
-            raise ValueError("grids must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-
-def harness_threads() -> int:
-    try:
-        return max(0, int(os.environ.get("IRCUR_THREADS", "0") or 0))
-    except ValueError:
-        return 0
-
-
-def _run_trial(
-    grid: ExperimentGrid, mode: str, cell: int, c: float, alpha: float, trial: int,
-    gamma: float, eps: float, max_iter: int,
-) -> bool:
-    # Streams derive from (base seed, cell, trial), so execution order and
-    # concurrency cannot alter any result.
-    gen = grid.base_seed.derive(cell, trial, 0).generator()
-    L = gen_low_rank(grid.n, grid.rank, gen)
-    D = L + gen_sparse(L, alpha, gen)
-    cfg = SolverConfig(
-        rank=grid.rank,
-        eps=eps,
-        zeta0=2.0 * inf_norm(L),
-        gamma=gamma,
-        c_rows=c,
-        c_cols=c,
-        mode=mode,
-        max_iter=max_iter,
-        seed=grid.base_seed.derive(cell, trial, 1),
-    )
-    cur, _, _ = solve(D, cfg)
-    return success_check(cur, L)
-
-
-def run_phase_transition(
-    grid: ExperimentGrid,
-    mode: str = "fixed",
-    gamma: float = 0.65,
-    eps: float = 1e-5,
-    max_iter: int = 60,
-    threads: int | None = None,
-) -> list[tuple[float, float, int, int]]:
-    """Success counts per (c, alpha) cell, in grid order."""
-    cells = [
-        (c, alpha) for c in grid.c_values for alpha in grid.alpha_values
-    ]
-    tasks = [
-        (ci, c, alpha, t)
-        for ci, (c, alpha) in enumerate(cells)
-        for t in range(grid.trials)
-    ]
-    workers = harness_threads() if threads is None else threads
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda args: _run_trial(grid, mode, *args, gamma, eps, max_iter),
-                    tasks,
-                )
-            )
-    else:
-        outcomes = [_run_trial(grid, mode, *args, gamma, eps, max_iter) for args in tasks]
-    wins = [0] * len(cells)
-    for (ci, _, _, _), ok in zip(tasks, outcomes):
-        wins[ci] += ok
-    return [
-        (c, alpha, wins[ci], grid.trials) for ci, (c, alpha) in enumerate(cells)
-    ]
-
-
-def run_bench(
-    sizes: list[int],
-    rank: int,
-    alpha: float,
-    c: float,
-    mode: str,
-    base_seed: RngSeed,
-    gamma: float = 0.65,
-    eps: float = 1e-5,
-    max_iter: int = 200,
-) -> list[tuple[int, int, float, float, float]]:
-    """One solve per size; seconds_per_iteration is the minimum over the
-    run excluding the first (warm-up) iteration, which estimates the
-    deterministic per-iteration cost with scheduler noise removed."""
-    rows = []
-    for idx, n in enumerate(sizes):
-        spec = SyntheticSpec(n, rank, alpha, base_seed.derive(idx, 0))
-        D, l_inf = make_data_matrix(spec)
-        cfg = SolverConfig(
-            rank=rank,
-            eps=eps,
-            zeta0=2.0 * l_inf,
-            gamma=gamma,
-            c_rows=c,
-            c_cols=c,
-            mode=mode,
-            max_iter=max_iter,
-            seed=base_seed.derive(idx, 1),
-        )
-        t0 = time.perf_counter()
-        _, _, trace = solve(D, cfg)
-        total = time.perf_counter() - t0
-        per_iter = min(trace.seconds[1:] or trace.seconds)
-        rows.append((n, trace.iterations, total, per_iter, trace.errors[-1]))
-    return rows
-
-
-def run_video(
-    frame_dir,
-    out_dir,
-    rank: int = 2,
-    c: float = 4.0,
-    c_cols: float | None = None,
-    gamma: float = 0.65,
-    eps: float = 1e-5,
-    mode: str = "resampled",
-    max_iter: int = 200,
-    seed: RngSeed = RngSeed(0),
-    chunk: int = 64,
-    log=print,
-):
-    """Separate a frame directory into background and foreground frames.
-
-    The background is the low-rank estimate clamped to [0, 255]; the
-    foreground is |D - background| rescaled to [0, 255] per frame.  Only
-    per-chunk column slices of the estimates are ever materialized.
-
-    Index resampling is the default here: frames sit in memory, so the
-    extra data access is free and it prevents an unlucky fixed draw from
-    folding foreground pixels into the background estimate.
-    """
-    seq = read_frame_dir(frame_dir)
-    log(
-        f"video: {seq.frame_count} frames of {seq.width}x{seq.height}, "
-        f"rank={rank}, c={c}, mode={mode}"
-    )
-    D = frames_to_matrix(seq)
-    cfg = SolverConfig(
-        rank=rank, eps=eps, gamma=gamma, c_rows=c,
-        c_cols=c if c_cols is None else c_cols,
-        mode=mode, max_iter=max_iter, seed=seed,
-    )
-    cur, _, trace = solve(D, cfg)
-    log(
-        f"video: {'converged' if trace.converged else 'stopped'} after "
-        f"{trace.iterations} iterations, e={trace.errors[-1]:.3e}"
-    )
-    bg_dir = Path(out_dir) / "background"
-    fg_dir = Path(out_dir) / "foreground"
-    bg_dir.mkdir(parents=True, exist_ok=True)
-    fg_dir.mkdir(parents=True, exist_ok=True)
-    n_frames = seq.frame_count
-    for start in range(0, n_frames, chunk):
-        stop = min(start + chunk, n_frames)
-        cols = IndexSet(np.arange(start, stop, dtype=np.int64), n_frames)
-        low = cur_eval_cols(cur, cols)
-        resid = np.abs(D[:, start:stop] - low)
-        peaks = resid.max(axis=0)
-        peaks[peaks == 0.0] = 1.0
-        fg = resid * (255.0 / peaks)
-        bg_frames = matrix_to_frames(low, seq.width, seq.height)
-        fg_frames = matrix_to_frames(fg, seq.width, seq.height)
-        for t in range(start, stop):
-            write_pgm(bg_frames.pixels[t - start], bg_dir / f"frame_{t:05d}.pgm")
-            write_pgm(fg_frames.pixels[t - start], fg_dir / f"frame_{t:05d}.pgm")
-    return trace
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -242,27 +56,37 @@ def _write_csv(path, header: str, rows) -> None:
         Path(path).write_text(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_list(text: str, kind=float) -> tuple:
+    return tuple(kind(v) for v in text.split(",") if v.strip())
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _add_solver_flags(p: argparse.ArgumentParser, rank_default=5) -> None:
+def _add_solver_flags(
+    p: argparse.ArgumentParser, rank_default=5, zeta0=True, sampling=True
+) -> None:
+    """Register the solver flags; ``zeta0`` / ``sampling`` = False leaves out
+    --zeta0 / --c-rows and --c-cols for commands that set those per trial."""
     p.add_argument("--rank", type=int, default=rank_default, help="target rank r")
     p.add_argument("--eps", type=float, default=1e-5, help="stopping precision")
-    p.add_argument("--zeta0", type=float, default=None,
-                   help="initial threshold (default: max |D|)")
+    if zeta0:
+        p.add_argument("--zeta0", type=float, default=None,
+                       help="initial threshold (default: max |D|)")
     p.add_argument("--gamma", type=float, default=0.65,
                    help="threshold decay in (0,1); [0.6,0.9] recommended")
-    p.add_argument("--c-rows", type=float, default=4.0, help="row sampling constant")
-    p.add_argument("--c-cols", type=float, default=4.0, help="column sampling constant")
+    if sampling:
+        p.add_argument("--c-rows", type=float, default=4.0, help="row sampling constant")
+        p.add_argument("--c-cols", type=float, default=4.0, help="column sampling constant")
     p.add_argument("--mode", choices=("fixed", "resampled"), default="fixed",
                    help="index policy: keep one draw or redraw per iteration")
     p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+
+
+def _config(args) -> SolverConfig:
+    """The SolverConfig of every solver flag the subcommand registered;
+    fields without a flag keep their SolverConfig defaults."""
+    names = {f.name for f in fields(SolverConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return SolverConfig(**{**given, "seed": RngSeed(args.seed)})
 
 
 def _write_factors(args, **factors) -> Path:
@@ -276,18 +100,7 @@ def _write_factors(args, **factors) -> Path:
 
 def cmd_solve(args) -> int:
     D = read_matrix(args.input)
-    cfg = SolverConfig(
-        rank=args.rank,
-        eps=args.eps,
-        zeta0=args.zeta0,
-        gamma=args.gamma,
-        c_rows=args.c_rows,
-        c_cols=args.c_cols,
-        mode=args.mode,
-        max_iter=args.max_iter,
-        seed=RngSeed(args.seed),
-    )
-    cur, _, trace = solve(D, cfg)
+    cur, _, trace = solve(D, _config(args))
     factors = {"C": cur.C, "core": cur.core_pinv.dense(), "R": cur.R}
     if args.svd:
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
@@ -310,49 +123,24 @@ def cmd_solve(args) -> int:
 
 def cmd_phase_transition(args) -> int:
     grid = ExperimentGrid(
-        c_values=_parse_floats(args.c_grid),
-        alpha_values=_parse_floats(args.alpha_grid),
+        c_values=_parse_list(args.c_grid),
+        alpha_values=_parse_list(args.alpha_grid),
         trials=args.trials,
-        base_seed=RngSeed(args.seed),
-        rank=args.rank,
         n=args.n,
     )
-    rows = run_phase_transition(
-        grid, mode=args.mode, gamma=args.gamma, eps=args.eps, max_iter=args.max_iter
-    )
+    rows = run_phase_transition(grid, _config(args))
     _write_csv(args.out, "c,alpha,successes,trials", rows)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    rows = run_bench(
-        sizes=_parse_ints(args.sizes),
-        rank=args.rank,
-        alpha=args.alpha,
-        c=args.c_rows,
-        mode=args.mode,
-        base_seed=RngSeed(args.seed),
-        gamma=args.gamma,
-        eps=args.eps,
-        max_iter=args.max_iter,
-    )
+    rows = run_bench(_parse_list(args.sizes, int), args.alpha, _config(args))
     _write_csv(args.out, "n,iterations,total_seconds,seconds_per_iteration,final_e", rows)
     return EXIT_OK
 
 
 def cmd_video(args) -> int:
-    run_video(
-        args.frames,
-        args.out_dir,
-        rank=args.rank,
-        c=args.c_rows,
-        c_cols=args.c_cols,
-        gamma=args.gamma,
-        eps=args.eps,
-        mode=args.mode,
-        max_iter=args.max_iter,
-        seed=RngSeed(args.seed),
-    )
+    run_video(args.frames, args.out_dir, _config(args))
     return EXIT_OK
 
 
@@ -387,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-transition",
         help="success-count grid over (c, alpha); CSV: c,alpha,successes,trials",
     )
-    _add_solver_flags(p)
+    _add_solver_flags(p, zeta0=False, sampling=False)
     p.add_argument("--n", type=int, default=300,
                    help="problem size (300 keeps a 50-trial grid desk-sized; "
                         "use 1000 for the full-scale grid)")
@@ -403,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="runtime scaling; CSV: n,iterations,total_seconds,"
              "seconds_per_iteration,final_e",
     )
-    _add_solver_flags(p)
+    _add_solver_flags(p, zeta0=False)
     p.add_argument("--sizes", default="1000,2000,4000,8000",
                    help="comma-separated problem sizes")
     p.add_argument("--alpha", type=float, default=0.1, help="corruption rate")
@@ -415,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p, rank_default=2)
     p.add_argument("--out-dir", default="out",
                    help="output directory (background/ and foreground/ inside)")
+    # Frames sit in memory, so redrawing indices costs no extra data access,
+    # and it keeps an unlucky fixed draw from folding foreground pixels into
+    # the background estimate.
     p.set_defaults(func=cmd_video, mode="resampled")
 
     p = sub.add_parser("cur2svd", help="convert stored CUR factors to a compact SVD")

@@ -85,10 +85,11 @@ def read_matrix(path, fmt: str | None = None) -> Matrix:
 def _read_bin(path: Path) -> Matrix:
     # fromfile reads the payload once, straight into the returned array.
     size = path.stat().st_size
-    if size < _BIN_HEADER.size:
-        raise FormatError("truncated header", path=path, offset=size)
     with open(path, "rb") as fh:
-        magic, rows, cols = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
+        header = fh.read(_BIN_HEADER.size)  # may be short: the file can shrink after stat
+        if len(header) < _BIN_HEADER.size:
+            raise FormatError("truncated header", path=path, offset=len(header))
+        magic, rows, cols = _BIN_HEADER.unpack(header)
         if magic != BIN_MAGIC:
             raise FormatError(f"bad magic {magic!r}", path=path, offset=0)
         if rows < 0 or cols < 0:
@@ -124,8 +125,10 @@ def _read_csv(path: Path) -> Matrix:
         raise FormatError(f"unreadable CSV: {exc}", path=path) from exc
     if M.size == 0:
         raise FormatError("empty CSV", path=path)
-    if not np.isfinite(M).all():
-        raise FormatError("non-finite value", path=path)
+    try:
+        require_finite(M)
+    except ValueError:
+        raise FormatError("non-finite value", path=path) from None
     return np.asfortranarray(M)
 
 

@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from ircur.cli import ExperimentGrid, run_bench, run_phase_transition, run_video
 from ircur.convert import factors_to_svd
+from ircur.experiments import ExperimentGrid, run_bench, run_phase_transition, run_video
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import (
     FrameSequence,
@@ -91,15 +91,14 @@ def test_criterion_3_phase_transition():
         c_values=(1.0, 2.0, 3.0, 4.0),
         alpha_values=(0.1, 0.3),
         trials=50,
-        base_seed=RngSeed(42),
-        rank=5,
         n=300,
     )
     wins = {}
     for mode in ("fixed", "resampled"):
-        for c, alpha, successes, trials in run_phase_transition(
-            grid, mode=mode, gamma=0.65, eps=1e-5, max_iter=60
-        ):
+        cfg = SolverConfig(
+            rank=5, eps=1e-5, gamma=0.65, mode=mode, max_iter=60, seed=RngSeed(42)
+        )
+        for c, alpha, successes, trials in run_phase_transition(grid, cfg):
             wins[(mode, c, alpha)] = successes
 
     problems = []
@@ -155,8 +154,8 @@ def test_criterion_5_scaling_exponent():
     # Per-iteration time grows like n log^2(n), far from quadratic.
     t0 = time.perf_counter()
     rows = run_bench(
-        sizes=[1000, 2000, 4000, 8000], rank=5, alpha=0.1, c=4.0,
-        mode="fixed", base_seed=RngSeed(99),
+        sizes=[1000, 2000, 4000, 8000], alpha=0.1,
+        cfg=SolverConfig(rank=5, c_rows=4.0, c_cols=4.0, mode="fixed", seed=RngSeed(99)),
     )
     ns = np.log([r[0] for r in rows])
     ts = np.log([r[3] for r in rows])
@@ -282,9 +281,8 @@ def test_criterion_9_video_pipeline(tmp_path):
     assert np.array_equal(read_matrix(tmp_path / "D.bin"), D)  # BIN bit-exact
 
     out = tmp_path / "separated"
-    trace = run_video(
-        frame_dir, out, rank=2, c=4.0, seed=RngSeed(3), log=lambda *a: None
-    )
+    cfg = SolverConfig(rank=2, c_rows=4.0, c_cols=4.0, mode="resampled", seed=RngSeed(3))
+    trace = run_video(frame_dir, out, cfg, log=lambda *a: None)
     bg = read_frame_dir(out / "background")
     fg = read_frame_dir(out / "foreground")
     mae = float(np.abs(bg.pixels.astype(float) - background.astype(float)).mean())

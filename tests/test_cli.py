@@ -1,11 +1,38 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ircur.cli import ExperimentGrid, main, run_phase_transition
-from ircur.matcore import frob_norm
+from ircur import cli, experiments
+from ircur.cli import main
+from ircur.experiments import ExperimentGrid, harness_threads, run_phase_transition
+from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import FrameSequence, read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
-from ircur.synth import SyntheticSpec, gen_low_rank, make_problem, make_video
+from ircur.solver import SolverConfig, solve
+from ircur.synth import (
+    SyntheticSpec,
+    gen_low_rank,
+    make_data_matrix,
+    make_problem,
+    make_video,
+)
+
+# Every solver flag, each off its default, and the config it must produce.
+SOLVER_FLAGS = {
+    "--rank": "3", "--eps": "1e-4", "--zeta0": "50.0", "--gamma": "0.7",
+    "--c-rows": "3.0", "--c-cols": "5.0", "--mode": "resampled",
+    "--max-iter": "2", "--seed": "13",
+}
+FLAGGED = SolverConfig(
+    rank=3, eps=1e-4, zeta0=50.0, gamma=0.7, c_rows=3.0, c_cols=5.0,
+    mode="resampled", max_iter=2, seed=RngSeed(13),
+)
+
+
+def solver_flags(*omit):
+    return [arg for flag, value in SOLVER_FLAGS.items() if flag not in omit
+            for arg in (flag, value)]
 
 
 @pytest.fixture
@@ -14,6 +41,71 @@ def clean_matrix(tmp_path):
     p = tmp_path / "clean.bin"
     write_matrix(L, p)
     return p, L
+
+
+@pytest.fixture
+def solve_configs(monkeypatch):
+    """Record the SolverConfig of every solve a command runs."""
+    seen = []
+
+    def recording(D, cfg, *args, **kwargs):
+        seen.append(cfg)
+        return solve(D, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    monkeypatch.setattr(experiments, "solve", recording)
+    return seen
+
+
+def test_solve_flags_reach_solve(tmp_path, clean_matrix, solve_configs):
+    p, _ = clean_matrix
+    main(["solve", str(p), "--out-dir", str(tmp_path / "out"), *solver_flags()])
+    assert solve_configs == [FLAGGED]
+
+
+def test_video_flags_reach_solve(tmp_path, solve_configs):
+    frames, _, _ = make_video(16, 12, 6, RngSeed(4), blob_size=4)
+    write_frame_dir(FrameSequence(frames), tmp_path / "frames")
+    argv = ["video", str(tmp_path / "frames"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + solver_flags()) == 0
+    assert solve_configs == [FLAGGED]
+
+
+def test_bench_flags_reach_solve(tmp_path, solve_configs):
+    argv = ["bench", "--sizes", "60", "--alpha", "0.1", "--out", str(tmp_path / "b.csv")]
+    assert main(argv + solver_flags("--zeta0")) == 0
+    _, l_inf = make_data_matrix(SyntheticSpec(60, 3, 0.1, RngSeed(13).derive(0, 0)))
+    assert solve_configs == [
+        replace(FLAGGED, zeta0=2.0 * l_inf, seed=RngSeed(13).derive(0, 1))
+    ]
+
+
+def test_phase_transition_flags_reach_solve(tmp_path, solve_configs):
+    argv = [
+        "phase-transition", "--n", "40", "--trials", "1", "--c-grid", "2",
+        "--alpha-grid", "0.1", "--out", str(tmp_path / "p.csv"),
+    ]
+    assert main(argv + solver_flags("--zeta0", "--c-rows", "--c-cols")) == 0
+    L = gen_low_rank(40, 3, RngSeed(13).derive(0, 0, 0).generator())
+    assert solve_configs == [
+        replace(
+            FLAGGED, zeta0=2.0 * inf_norm(L), c_rows=2.0, c_cols=2.0,
+            seed=RngSeed(13).derive(0, 0, 1),
+        )
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--zeta0", "0.001"],
+    ["phase-transition", "--zeta0", "1e-9"],
+    ["phase-transition", "--c-rows", "9"],
+    ["phase-transition", "--c-cols", "0.5"],
+])
+def test_flags_an_experiment_sets_itself_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_clean_exit_zero(tmp_path, clean_matrix, capsys):
@@ -110,30 +202,24 @@ def test_phase_transition_csv_deterministic(tmp_path):
 
 
 def test_phase_transition_clean_column_always_succeeds(tmp_path):
-    grid = ExperimentGrid(
-        c_values=(1.0, 2.0), alpha_values=(0.0,), trials=4,
-        base_seed=RngSeed(7), rank=2, n=60,
-    )
-    rows = run_phase_transition(grid, mode="fixed", max_iter=40)
+    grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0,), trials=4, n=60)
+    cfg = SolverConfig(rank=2, mode="fixed", max_iter=40, seed=RngSeed(7))
+    rows = run_phase_transition(grid, cfg)
     assert all(wins == trials for _, _, wins, trials in rows)
 
 
 def test_phase_transition_parallel_matches_serial(monkeypatch):
-    grid = ExperimentGrid(
-        c_values=(1.0, 2.0), alpha_values=(0.0, 0.2), trials=3,
-        base_seed=RngSeed(9), rank=2, n=50,
-    )
-    serial = run_phase_transition(grid, mode="fixed", max_iter=30, threads=0)
-    threaded = run_phase_transition(grid, mode="fixed", max_iter=30, threads=4)
+    grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0, 0.2), trials=3, n=50)
+    cfg = SolverConfig(rank=2, mode="fixed", max_iter=30, seed=RngSeed(9))
+    serial = run_phase_transition(grid, cfg, threads=0)
+    threaded = run_phase_transition(grid, cfg, threads=4)
     assert serial == threaded
     monkeypatch.setenv("IRCUR_THREADS", "2")
-    from_env = run_phase_transition(grid, mode="fixed", max_iter=30)
+    from_env = run_phase_transition(grid, cfg)
     assert from_env == serial
 
 
 def test_harness_threads_env(monkeypatch):
-    from ircur.cli import harness_threads
-
     monkeypatch.delenv("IRCUR_THREADS", raising=False)
     assert harness_threads() == 0
     monkeypatch.setenv("IRCUR_THREADS", "3")
@@ -194,18 +280,15 @@ def test_video_inconsistent_frames_exit_one(tmp_path):
 
 def test_experiment_grid_validation():
     with pytest.raises(ValueError):
-        ExperimentGrid((), (0.1,), 5, RngSeed(0), 2, 50)
+        ExperimentGrid((), (0.1,), 5, 50)
     with pytest.raises(ValueError):
-        ExperimentGrid((1.0,), (0.1,), 0, RngSeed(0), 2, 50)
+        ExperimentGrid((1.0,), (0.1,), 0, 50)
 
 
 def test_fixed_mode_cheaper_per_iteration():
     # Fixed indices skip the per-iteration slab extraction and slab-norm
     # recomputation, so their best-case iteration is cheaper; compare
     # minima to keep scheduler noise out of the comparison.
-    from ircur.matcore import inf_norm
-    from ircur.solver import SolverConfig, solve
-
     wins = 0
     for t in range(10):
         inst = make_problem(SyntheticSpec(600, 5, 0.1, RngSeed(600 + t)))

@@ -1,3 +1,4 @@
+import io
 import struct
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ircur import mio
 from ircur.mio import (
     BIN_MAGIC,
     FormatError,
@@ -84,6 +86,18 @@ def test_payload_shrunk_after_stat_is_format_error(tmp_path, monkeypatch):
     assert err.value.offset == 12 + 8 * 3
 
 
+def test_header_shrunk_after_stat_is_format_error(tmp_path, monkeypatch):
+    # stat sees the whole file; the header read then comes back short.
+    p = tmp_path / "m.bin"
+    write_matrix(np.ones((2, 2)), p)
+    monkeypatch.setattr(
+        mio, "open", lambda path, mode: io.BytesIO(p.read_bytes()[:5]), raising=False
+    )
+    with pytest.raises(FormatError, match="truncated header") as err:
+        read_matrix(p, "bin")
+    assert err.value.offset == 5
+
+
 def test_bin_read_holds_payload_once(tmp_path):
     M = rng.standard_normal((1000, 1000))
     p = tmp_path / "m.bin"
@@ -128,6 +142,14 @@ def test_csv_empty_is_format_error(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("")
     with pytest.raises(FormatError):
+        read_matrix(p, "csv")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_non_finite_is_format_error(tmp_path, bad):
+    p = tmp_path / "nf.csv"
+    p.write_text(f"1,2\n3,{bad}\n")
+    with pytest.raises(FormatError, match="non-finite value"):
         read_matrix(p, "csv")
 
 
