@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ircur.experiments import run_bench
+from ircur.experiments import bench_specs, run_bench
 from ircur.sampling import RngSeed
 from ircur.solver import SolverConfig
 
@@ -32,7 +32,7 @@ def main() -> int:
         cfg = SolverConfig(
             rank=args.rank, c_rows=args.c, c_cols=args.c, mode=mode, seed=RngSeed(args.seed)
         )
-        rows = run_bench(sizes, args.alpha, cfg)
+        rows = run_bench(bench_specs(sizes, args.alpha, cfg), cfg)
         out = f"bench_{mode}.csv"
         with open(out, "w") as fh:
             fh.write("n,iterations,total_seconds,seconds_per_iteration,final_e\n")

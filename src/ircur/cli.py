@@ -34,7 +34,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .convert import cur_to_svd
-from .experiments import ExperimentGrid, run_bench, run_phase_transition, run_video
+from .experiments import (
+    ExperimentGrid, bench_specs, run_bench, run_phase_transition, run_video,
+)
 from .matcore import pinv_factor
 from .mio import FormatError, read_matrix, write_matrix
 from .sampling import RngSeed
@@ -56,8 +58,12 @@ def _write_csv(path, header: str, rows) -> None:
         Path(path).write_text(text)
 
 
-def _parse_list(text: str, kind=float) -> tuple:
-    return tuple(kind(v) for v in text.split(",") if v.strip())
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _add_solver_flags(
@@ -81,12 +87,20 @@ def _add_solver_flags(
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
+def _from_flags(build, *args, **kwargs):
+    """Build a command input before any solve runs; a ValueError is a bad flag value."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _config(args) -> SolverConfig:
     """The SolverConfig of every solver flag the subcommand registered;
     fields without a flag keep their SolverConfig defaults."""
     names = {f.name for f in fields(SolverConfig)}
     given = {k: v for k, v in vars(args).items() if k in names}
-    return SolverConfig(**{**given, "seed": RngSeed(args.seed)})
+    return _from_flags(lambda: SolverConfig(**{**given, "seed": RngSeed(args.seed)}))
 
 
 def _write_factors(args, **factors) -> Path:
@@ -99,8 +113,11 @@ def _write_factors(args, **factors) -> Path:
 
 
 def cmd_solve(args) -> int:
+    cfg = _config(args)
     D = read_matrix(args.input)
-    cur, _, trace = solve(D, _config(args))
+    if D.size == 0:
+        raise FormatError("empty matrix", path=args.input)
+    cur, _, trace = solve(D, cfg)
     factors = {"C": cur.C, "core": cur.core_pinv.dense(), "R": cur.R}
     if args.svd:
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
@@ -122,19 +139,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_phase_transition(args) -> int:
-    grid = ExperimentGrid(
-        c_values=_parse_list(args.c_grid),
-        alpha_values=_parse_list(args.alpha_grid),
-        trials=args.trials,
-        n=args.n,
-    )
-    rows = run_phase_transition(grid, _config(args))
+    cfg = _config(args)
+    grid = _from_flags(ExperimentGrid, args.c_grid, args.alpha_grid, args.trials, args.n)
+    rows = run_phase_transition(grid, cfg)
     _write_csv(args.out, "c,alpha,successes,trials", rows)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    rows = run_bench(_parse_list(args.sizes, int), args.alpha, _config(args))
+    cfg = _config(args)
+    rows = run_bench(_from_flags(bench_specs, args.sizes, args.alpha, cfg), cfg)
     _write_csv(args.out, "n,iterations,total_seconds,seconds_per_iteration,final_e", rows)
     return EXIT_OK
 
@@ -179,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=300,
                    help="problem size (300 keeps a 50-trial grid desk-sized; "
                         "use 1000 for the full-scale grid)")
-    p.add_argument("--c-grid", default="1,2,3,4", help="comma-separated c values")
-    p.add_argument("--alpha-grid", default="0.1,0.2,0.3",
+    p.add_argument("--c-grid", default="1,2,3,4", type=float_list,
+                   help="comma-separated c values")
+    p.add_argument("--alpha-grid", default="0.1,0.2,0.3", type=float_list,
                    help="comma-separated corruption rates")
     p.add_argument("--trials", type=int, default=50, help="random tests per cell")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
@@ -192,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
              "seconds_per_iteration,final_e",
     )
     _add_solver_flags(p, zeta0=False)
-    p.add_argument("--sizes", default="1000,2000,4000,8000",
+    p.add_argument("--sizes", default="1000,2000,4000,8000", type=int_list,
                    help="comma-separated problem sizes")
     p.add_argument("--alpha", type=float, default=0.1, help="corruption rate")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
@@ -219,10 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; unreadable or malformed files exit with EXIT_ERROR."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; a bad flag value exits 2 as a usage error, and
+    unreadable, malformed or empty input files exit with EXIT_ERROR."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # from _from_flags
+        parser.error(str(exc))
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -47,7 +47,3 @@ def cur_to_svd(C: Matrix, core_pinv: PinvFactor, R: Matrix) -> SvdFactors:
         W, sigma, V = W[:, keep], sigma[keep], V[:, keep]
     return SvdFactors(W=W, sigma=sigma, V=V)
 
-
-def factors_to_svd(cur) -> SvdFactors:
-    """Convenience wrapper taking a CurFactors-like object."""
-    return cur_to_svd(cur.C, cur.core_pinv, cur.R)

@@ -21,7 +21,7 @@ from .matcore import inf_norm
 from .mio import frames_to_matrix, matrix_to_frames, read_frame_dir, write_pgm
 from .sampling import IndexSet
 from .solver import SolverConfig, cur_eval_cols, solve
-from .synth import SyntheticSpec, gen_low_rank, gen_sparse, make_data_matrix, success_check
+from .synth import SyntheticSpec, make_data_matrix, make_problem, success_check
 
 # Frames whose background/foreground estimates are materialized at once.
 VIDEO_CHUNK = 64
@@ -55,18 +55,17 @@ def _run_trial(
 ) -> bool:
     # Streams derive from (base seed, cell, trial), so execution order and
     # concurrency cannot alter any result.
-    gen = cfg.seed.derive(cell, trial, 0).generator()
-    L = gen_low_rank(grid.n, cfg.rank, gen)
-    D = L + gen_sparse(L, alpha, gen)
+    spec = SyntheticSpec(grid.n, cfg.rank, alpha, cfg.seed.derive(cell, trial, 0))
+    inst = make_problem(spec)
     cfg = replace(
         cfg,
-        zeta0=2.0 * inf_norm(L),
+        zeta0=2.0 * inf_norm(inst.L),
         c_rows=c,
         c_cols=c,
         seed=cfg.seed.derive(cell, trial, 1),
     )
-    cur, _, _ = solve(D, cfg)
-    return success_check(cur, L)
+    cur, _, _ = solve(inst.D, cfg)
+    return success_check(cur, inst.L)
 
 
 def run_phase_transition(
@@ -98,23 +97,28 @@ def run_phase_transition(
     ]
 
 
+def bench_specs(sizes: list[int], alpha: float, cfg: SolverConfig) -> list[SyntheticSpec]:
+    """The instances :func:`run_bench` solves, one per size, on seed streams of ``cfg``."""
+    return [SyntheticSpec(n, cfg.rank, alpha, cfg.seed.derive(idx, 0))
+            for idx, n in enumerate(sizes)]
+
+
 def run_bench(
-    sizes: list[int], alpha: float, cfg: SolverConfig
+    specs: list[SyntheticSpec], cfg: SolverConfig
 ) -> list[tuple[int, int, float, float, float]]:
-    """One solve per size; seconds_per_iteration is the minimum over the
+    """One solve per spec; seconds_per_iteration is the minimum over the
     run excluding the first (warm-up) iteration, which estimates the
     deterministic per-iteration cost with scheduler noise removed.  Each
-    size sets its own ``zeta0`` and seed stream of ``cfg``."""
+    solve sets its own ``zeta0`` and seed stream of ``cfg``."""
     rows = []
-    for idx, n in enumerate(sizes):
-        spec = SyntheticSpec(n, cfg.rank, alpha, cfg.seed.derive(idx, 0))
+    for idx, spec in enumerate(specs):
         D, l_inf = make_data_matrix(spec)
         run_cfg = replace(cfg, zeta0=2.0 * l_inf, seed=cfg.seed.derive(idx, 1))
         t0 = time.perf_counter()
         _, _, trace = solve(D, run_cfg)
         total = time.perf_counter() - t0
         per_iter = min(trace.seconds[1:] or trace.seconds)
-        rows.append((n, trace.iterations, total, per_iter, trace.errors[-1]))
+        rows.append((spec.n, trace.iterations, total, per_iter, trace.errors[-1]))
     return rows
 
 

@@ -132,7 +132,7 @@ class PinvFactor(SvdFactors):
     """Pseudoinverse of a small matrix U, held in factored form.
 
     Holds the SVD factors of U (so ``dense()`` rebuilds the rank-truncated
-    U itself), with singular values at or below ``rel_cutoff * sigma_max``
+    U itself), with singular values at or below ``PINV_CUTOFF * sigma_max``
     zeroed in ``inv_sigma``, and applies U+ on either side without ever
     materializing U+ densely.
     """
@@ -140,14 +140,11 @@ class PinvFactor(SvdFactors):
     inv_sigma: np.ndarray  # k, 1/sigma where kept, else 0
 
     @classmethod
-    def from_svd(cls, fac: SvdFactors, rel_cutoff: float = PINV_CUTOFF) -> "PinvFactor":
-        if not 0.0 < rel_cutoff < 1.0:
-            raise ValueError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
+    def from_svd(cls, fac: SvdFactors) -> "PinvFactor":
         smax = fac.sigma[0] if fac.sigma.size else 0.0
         inv = np.zeros_like(fac.sigma)
-        kept = fac.sigma > rel_cutoff * smax
-        if smax > 0.0:
-            inv[kept] = 1.0 / fac.sigma[kept]
+        kept = fac.sigma > PINV_CUTOFF * smax  # none when smax == 0
+        inv[kept] = 1.0 / fac.sigma[kept]
         return cls(W=fac.W, sigma=fac.sigma, V=fac.V, inv_sigma=inv)
 
     @property
@@ -175,14 +172,14 @@ class PinvFactor(SvdFactors):
         return tracked(T @ self.W.T)
 
 
-def pinv_factor(M: Matrix, rel_cutoff: float = PINV_CUTOFF) -> PinvFactor:
+def pinv_factor(M: Matrix) -> PinvFactor:
     """Factored Moore-Penrose pseudoinverse of M.
 
-    Singular values at or below ``rel_cutoff * sigma_max`` are treated as
+    Singular values at or below ``PINV_CUTOFF * sigma_max`` are treated as
     zero.  An all-zero M yields a factor that maps everything to zero.
     """
     fac = truncated_svd(M, min(M.shape))
-    return PinvFactor.from_svd(fac, rel_cutoff)
+    return PinvFactor.from_svd(fac)
 
 
 def qr_thin(M: Matrix) -> tuple[Matrix, Matrix]:

@@ -77,11 +77,6 @@ class IndexSet:
     def full(cls, n: int) -> "IndexSet":
         return cls(np.arange(n, dtype=np.int64), n)
 
-    @classmethod
-    def of(cls, indices, bound: int) -> "IndexSet":
-        """Build from any iterable, sorting and deduplicating."""
-        return cls(np.unique(np.asarray(list(indices), dtype=np.int64)), bound)
-
 
 def sample_count(n: int, r: int, c: float) -> int:
     """Number of indices to sample: min(n, max(r, ceil(c * r * ln(n))))."""

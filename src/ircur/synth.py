@@ -41,19 +41,11 @@ class SyntheticSpec:
 
 @dataclass
 class ProblemInstance:
-    """A generated (D, L, S) triple with D = L + S exactly.
-
-    mu_hint is a cheap incoherence estimate of L computed at generation
-    time; coherence_flagged marks instances whose estimate exceeds the
-    empirical cap for Gaussian factors (they are flagged, not rejected).
-    """
+    """A generated (D, L, S) triple with D = L + S exactly."""
 
     D: Matrix
     L: Matrix
     S: Matrix
-    spec: SyntheticSpec
-    mu_hint: float
-    coherence_flagged: bool
 
 
 @dataclass
@@ -76,22 +68,15 @@ def _generator(rng: RngSeed | np.random.Generator) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngSeed) else rng
 
 
-def _gaussian_parts(
-    n: int, rank: int, rng: RngSeed | np.random.Generator, n_cols: int | None = None
-) -> tuple[Matrix, Matrix]:
-    gen = _generator(rng)
-    A = gen.standard_normal((n, rank))
-    B = gen.standard_normal((n if n_cols is None else n_cols, rank))
-    return A, B
-
-
 def gen_low_rank(
     n: int, rank: int, rng: RngSeed | np.random.Generator, n_cols: int | None = None
 ) -> Matrix:
     """Rank-``rank`` matrix A @ B.T from i.i.d. standard normal factors."""
     if rank > min(n, n if n_cols is None else n_cols):
         raise ValueError("rank exceeds matrix dimensions")
-    A, B = _gaussian_parts(n, rank, rng, n_cols)
+    gen = _generator(rng)
+    A = gen.standard_normal((n, rank))
+    B = gen.standard_normal((n if n_cols is None else n_cols, rank))
     return A @ B.T
 
 
@@ -140,39 +125,13 @@ def gen_sparse(L: Matrix, alpha: float, rng: RngSeed | np.random.Generator) -> M
     return S
 
 
-def _coherence_hint(A: Matrix, B: Matrix) -> float:
-    # Row norms of an orthonormal basis are basis-independent, so thin QR
-    # of the Gaussian factors gives the exact incoherence of A @ B.T.
-    n1, r = A.shape
-    n2 = B.shape[0]
-    qa = np.linalg.qr(A, mode="reduced")[0]
-    qb = np.linalg.qr(B, mode="reduced")[0]
-    mu_a = (n1 / r) * float(np.max(np.einsum("ij,ij->i", qa, qa)))
-    mu_b = (n2 / r) * float(np.max(np.einsum("ij,ij->i", qb, qb)))
-    return max(mu_a, mu_b)
-
-
-def coherence_cap(n: int, rank: int) -> float:
-    """Empirical incoherence cap for Gaussian factors: 3 (1 + sqrt(n/r))^2 r / n."""
-    return 3.0 * (1.0 + np.sqrt(n / rank)) ** 2 * rank / n
-
-
 def make_problem(spec: SyntheticSpec) -> ProblemInstance:
     """Full instance with D, L, S all materialized (desk scale)."""
     gen = spec.seed.generator()
-    A, B = _gaussian_parts(spec.n, spec.rank, gen)
-    L = A @ B.T
-    mu = _coherence_hint(A, B)
+    L = gen_low_rank(spec.n, spec.rank, gen)
     S = gen_sparse(L, spec.alpha, gen)
     D = L + S
-    return ProblemInstance(
-        D=D,
-        L=L,
-        S=S,
-        spec=spec,
-        mu_hint=mu,
-        coherence_flagged=mu > coherence_cap(spec.n, spec.rank),
-    )
+    return ProblemInstance(D=D, L=L, S=S)
 
 
 def make_data_matrix(spec: SyntheticSpec) -> tuple[Matrix, float]:
@@ -182,8 +141,7 @@ def make_data_matrix(spec: SyntheticSpec) -> tuple[Matrix, float]:
     the low-rank buffer in place instead of holding L, S, D separately.
     """
     gen = spec.seed.generator()
-    A, B = _gaussian_parts(spec.n, spec.rank, gen)
-    D = A @ B.T
+    D = gen_low_rank(spec.n, spec.rank, gen)
     l_inf = inf_norm(D)
     support, values = _sparse_parts(D, spec.alpha, gen)
     D.flat[support] += values

@@ -8,8 +8,14 @@ import time
 
 import numpy as np
 
-from ircur.convert import factors_to_svd
-from ircur.experiments import ExperimentGrid, run_bench, run_phase_transition, run_video
+from ircur.convert import cur_to_svd
+from ircur.experiments import (
+    ExperimentGrid,
+    bench_specs,
+    run_bench,
+    run_phase_transition,
+    run_video,
+)
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import (
     FrameSequence,
@@ -153,10 +159,8 @@ def test_criterion_4_linear_convergence():
 def test_criterion_5_scaling_exponent():
     # Per-iteration time grows like n log^2(n), far from quadratic.
     t0 = time.perf_counter()
-    rows = run_bench(
-        sizes=[1000, 2000, 4000, 8000], alpha=0.1,
-        cfg=SolverConfig(rank=5, c_rows=4.0, c_cols=4.0, mode="fixed", seed=RngSeed(99)),
-    )
+    cfg = SolverConfig(rank=5, c_rows=4.0, c_cols=4.0, mode="fixed", seed=RngSeed(99))
+    rows = run_bench(bench_specs([1000, 2000, 4000, 8000], 0.1, cfg), cfg)
     ns = np.log([r[0] for r in rows])
     ts = np.log([r[3] for r in rows])
     slope = float(np.polyfit(ns, ts, 1)[0])
@@ -200,7 +204,7 @@ def test_criterion_7_cur_to_svd():
         r = case % 6 + 1
         L = gen_low_rank(n, r, RngSeed(7000 + case))
         cur = exact_cur(L, r, m=4 * r + 10, seed=case + 31)
-        fac = factors_to_svd(cur)
+        fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
         product = materialize(cur)
         scale = frob_norm(product)
         recon = frob_norm((fac.W * fac.sigma) @ fac.V.T - product) / scale

@@ -2,20 +2,43 @@
 
 The benchmark's timing shims find the functions they wrap by
 ``"module:qualified.name"``; a renamed target does not fail there, it only
-leaves per-layer metrics missing, so the names are checked here.
+leaves per-layer metrics missing, so the names are checked here.  README's
+"Library use" example is run as written, so the documented API cannot
+drift from the code.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import ircur
 
-SHIMS = Path(__file__).resolve().parents[1] / "bench" / "shims.py"
+ROOT = Path(__file__).resolve().parents[1]
+SHIMS = ROOT / "bench" / "shims.py"
 
 
 def test_package_exports_resolve():
     for name in ircur.__all__:
         assert getattr(ircur, name, None) is not None, name
+
+
+def test_package_exports_are_the_library_surface():
+    assert sorted(ircur.__all__) == sorted([
+        "solve", "SolverConfig", "RngSeed", "CurFactors", "SparseEstimate",
+        "SolverTrace", "cur_to_svd", "SyntheticSpec", "make_problem", "success_check",
+    ])
+
+
+def test_readme_library_use_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert blocks, "README has no python block under 'Library use'"
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    inst, cur, fac = namespace["inst"], namespace["cur"], namespace["fac"]
+    assert ircur.success_check(cur, inst.L)
+    assert fac.sigma.size == 5
 
 
 def test_bench_shim_targets_resolve():

@@ -108,6 +108,41 @@ def test_flags_an_experiment_sets_itself_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase-transition", "--seed", "-1"],
+    ["bench", "--rank", "0"],
+    ["phase-transition", "--trials", "0"],
+    ["phase-transition", "--c-grid", ""],
+    ["bench", "--alpha", "1.5"],
+    ["solve", "{matrix}", "--gamma", "1.5"],
+])
+def test_out_of_range_flag_value_is_a_usage_error(argv, clean_matrix, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(matrix=clean_matrix[0]) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ircur")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]
+    ]
+
+
+def test_solve_empty_bin_matrix_exit_one(tmp_path, capsys):
+    p = tmp_path / "e.bin"
+    write_matrix(np.zeros((0, 3)), p)
+    assert main(["solve", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("empty matrix")
+    # Empty factors (a zero-column W, say) still round-trip through BIN.
+    write_matrix(np.zeros((4, 0)), p)
+    assert read_matrix(p).shape == (4, 0)
+
+
 def test_solve_clean_exit_zero(tmp_path, clean_matrix, capsys):
     p, L = clean_matrix
     out = tmp_path / "out"

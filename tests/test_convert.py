@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ircur import matcore
-from ircur.convert import cur_to_svd, factors_to_svd
+from ircur.convert import cur_to_svd
 from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import RngSeed, sample_indices
 from ircur.solver import materialize, sample_slabs, step
@@ -23,7 +23,7 @@ def exact_cur(L, r, seed):
 def test_singular_values_match_dense_oracle():
     L = gen_low_rank(30, 4, RngSeed(1))
     cur = exact_cur(L, 4, seed=2)
-    fac = factors_to_svd(cur)
+    fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     oracle = np.linalg.svd(L, compute_uv=False)[:4]
     np.testing.assert_allclose(np.sort(fac.sigma)[::-1][:4], oracle, rtol=1e-9)
 
@@ -42,7 +42,7 @@ def test_rank_one_unit():
 def test_scaling_homogeneity():
     L = gen_low_rank(20, 3, RngSeed(5))
     cur = exact_cur(L, 3, seed=6)
-    base = factors_to_svd(cur)
+    base = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     scaled = cur_to_svd(10.0 * cur.C, cur.core_pinv, cur.R)
     np.testing.assert_allclose(scaled.sigma, 10.0 * base.sigma, rtol=1e-12)
     k = base.sigma.size
@@ -57,7 +57,7 @@ def test_reconstruction_and_orthonormality(seed):
     r = 2 + seed % 4
     L = gen_low_rank(n, r, RngSeed(seed, 3))
     cur = exact_cur(L, r, seed=seed + 10)
-    fac = factors_to_svd(cur)
+    fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     product = materialize(cur)
     recon = (fac.W * fac.sigma) @ fac.V.T
     assert frob_norm(recon - product) <= 1e-10 * frob_norm(product)
@@ -79,7 +79,7 @@ def test_compact_rank_matches_core_truncation():
     # The core is rank-truncated, so converted sigma drops the null columns.
     L = gen_low_rank(25, 2, RngSeed(9))
     cur = exact_cur(L, 2, seed=11)
-    fac = factors_to_svd(cur)
+    fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     assert fac.sigma.size == 2
 
 
@@ -102,7 +102,7 @@ def test_cost_scales_linearly_in_ambient_dimension():
         cols = sample_indices(n, 20, RngSeed(19))
         cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
         matcore.ALLOCATIONS.reset()
-        factors_to_svd(cur)
+        cur_to_svd(cur.C, cur.core_pinv, cur.R)
         allocs[n] = matcore.ALLOCATIONS.count
     assert allocs[200] <= 2.4 * allocs[100]
     assert allocs[400] <= 2.4 * allocs[200]

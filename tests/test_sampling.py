@@ -104,8 +104,6 @@ def test_index_set_validation():
 def test_index_set_helpers():
     full = IndexSet.full(4)
     assert full.indices.tolist() == [0, 1, 2, 3]
-    dedup = IndexSet.of([3, 1, 3, 0], 5)
-    assert dedup.indices.tolist() == [0, 1, 3]
 
 
 def test_rng_seed_generator_reproducible():

@@ -7,7 +7,6 @@ from ircur.solver import SolverConfig, materialize, sample_slabs, solve, step
 from ircur.synth import (
     SyntheticSpec,
     assumption_report,
-    coherence_cap,
     gen_low_rank,
     gen_sparse,
     make_data_matrix,
@@ -154,13 +153,6 @@ def test_assumption_report_zero_matrix_flagged():
     rep = assumption_report(np.zeros((5, 5)), np.zeros((5, 5)), 2)
     assert rep.degenerate
     assert np.isnan(rep.mu_estimate)
-
-
-def test_mu_hint_matches_report_and_cap_flags():
-    inst = make_problem(SyntheticSpec(150, 4, 0.1, RngSeed(18)))
-    rep = assumption_report(inst.L, inst.S, 4)
-    assert inst.mu_hint == pytest.approx(rep.mu_estimate, rel=1e-9)
-    assert inst.coherence_flagged == (inst.mu_hint > coherence_cap(150, 4))
 
 
 def test_success_check_true_and_false():
