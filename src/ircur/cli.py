@@ -35,7 +35,8 @@ from pathlib import Path
 
 from .convert import cur_to_svd
 from .experiments import (
-    ExperimentGrid, bench_specs, run_bench, run_phase_transition, run_video,
+    ExperimentGrid, bench_specs, phase_trials, run_bench, run_phase_transition,
+    run_video,
 )
 from .matcore import pinv_factor
 from .mio import FormatError, read_matrix, write_matrix
@@ -141,7 +142,7 @@ def cmd_solve(args) -> int:
 def cmd_phase_transition(args) -> int:
     cfg = _config(args)
     grid = _from_flags(ExperimentGrid, args.c_grid, args.alpha_grid, args.trials, args.n)
-    rows = run_phase_transition(grid, cfg)
+    rows = run_phase_transition(_from_flags(phase_trials, grid, cfg))
     _write_csv(args.out, "c,alpha,successes,trials", rows)
     return EXIT_OK
 

@@ -37,7 +37,7 @@ def cur_to_svd(C: Matrix, core_pinv: PinvFactor, R: Matrix) -> SvdFactors:
         )
     q_c, r_c = qr_thin(C)
     q_r, r_r = qr_thin(R.T)
-    middle = tracked(core_pinv.apply_right(r_c) @ r_r.T)
+    middle = core_pinv.apply_right(r_c, r_r.T)
     w_u, sigma, v_u_t = np.linalg.svd(middle, full_matrices=False)
     W = tracked(q_c @ w_u)
     V = tracked(q_r @ v_u_t.T)

@@ -1,10 +1,12 @@
 """The paper's experiments: phase-transition grids, runtime scaling, video.
 
-Each driver takes one :class:`~ircur.solver.SolverConfig` and overrides,
-per trial, only what the experiment itself decides: the seed stream
-derived for that trial, ``zeta0 = 2 * max|L|`` on synthetic instances
-(where the true L is known), and ``c_rows = c_cols = c`` in each grid
-cell.  Every other field reaches :func:`~ircur.solver.solve` as given.
+Each experiment starts from one :class:`~ircur.solver.SolverConfig` and
+overrides, per trial, only what the experiment itself decides: the seed
+stream derived for that trial, ``zeta0 = 2 * max|L|`` on synthetic
+instances (where the true L is known), and ``c_rows = c_cols = c`` in each
+grid cell.  Every other field reaches :func:`~ircur.solver.solve` as given.
+The instances and configs are built (:func:`bench_specs`,
+:func:`phase_trials`) before the first solve, so a bad value fails first.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .matcore import inf_norm
 from .mio import frames_to_matrix, matrix_to_frames, read_frame_dir, write_pgm
 from .sampling import IndexSet
-from .solver import SolverConfig, cur_eval_cols, solve
+from .solver import SolverConfig, cur_eval, solve
 from .synth import SyntheticSpec, make_data_matrix, make_problem, success_check
 
 # Frames whose background/foreground estimates are materialized at once.
@@ -50,51 +52,48 @@ def harness_threads() -> int:
         return 0
 
 
-def _run_trial(
-    grid: ExperimentGrid, cfg: SolverConfig, cell: int, c: float, alpha: float, trial: int
-) -> bool:
-    # Streams derive from (base seed, cell, trial), so execution order and
-    # concurrency cannot alter any result.
-    spec = SyntheticSpec(grid.n, cfg.rank, alpha, cfg.seed.derive(cell, trial, 0))
+def phase_trials(
+    grid: ExperimentGrid, cfg: SolverConfig
+) -> list[tuple[int, SyntheticSpec, SolverConfig]]:
+    """Every trial of the grid as (cell index, instance spec, solver config),
+    cells in (c, alpha) grid order; each config sets ``c_rows = c_cols = c``.
+
+    Streams derive from (base seed, cell, trial), so execution order and
+    concurrency cannot alter any result.
+    """
+    cells = [(c, alpha) for c in grid.c_values for alpha in grid.alpha_values]
+    return [
+        (ci, SyntheticSpec(grid.n, cfg.rank, alpha, cfg.seed.derive(ci, t, 0)),
+         replace(cfg, c_rows=c, c_cols=c, seed=cfg.seed.derive(ci, t, 1)))
+        for ci, (c, alpha) in enumerate(cells)
+        for t in range(grid.trials)
+    ]
+
+
+def _run_trial(trial: tuple[int, SyntheticSpec, SolverConfig]) -> bool:
+    _, spec, cfg = trial
     inst = make_problem(spec)
-    cfg = replace(
-        cfg,
-        zeta0=2.0 * inf_norm(inst.L),
-        c_rows=c,
-        c_cols=c,
-        seed=cfg.seed.derive(cell, trial, 1),
-    )
-    cur, _, _ = solve(inst.D, cfg)
+    cur, _, _ = solve(inst.D, replace(cfg, zeta0=2.0 * inf_norm(inst.L)))
     return success_check(cur, inst.L)
 
 
 def run_phase_transition(
-    grid: ExperimentGrid, cfg: SolverConfig, threads: int | None = None
+    trials: list[tuple[int, SyntheticSpec, SolverConfig]], threads: int | None = None
 ) -> list[tuple[float, float, int, int]]:
-    """Success counts per (c, alpha) cell, in grid order; each trial sets
-    its own ``zeta0``, ``c_rows = c_cols = c`` and seed stream of ``cfg``."""
-    cells = [
-        (c, alpha) for c in grid.c_values for alpha in grid.alpha_values
-    ]
-    tasks = [
-        (ci, c, alpha, t)
-        for ci, (c, alpha) in enumerate(cells)
-        for t in range(grid.trials)
-    ]
+    """Success counts per cell of the ``trials`` that :func:`phase_trials`
+    builds, as (c, alpha, successes, trials) rows in grid order; each trial
+    solves with ``zeta0 = 2 * max|L|`` of its instance."""
     workers = harness_threads() if threads is None else threads
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda args: _run_trial(grid, cfg, *args), tasks)
-            )
+            outcomes = list(pool.map(_run_trial, trials))
     else:
-        outcomes = [_run_trial(grid, cfg, *args) for args in tasks]
-    wins = [0] * len(cells)
-    for (ci, _, _, _), ok in zip(tasks, outcomes):
-        wins[ci] += ok
-    return [
-        (c, alpha, wins[ci], grid.trials) for ci, (c, alpha) in enumerate(cells)
-    ]
+        outcomes = list(map(_run_trial, trials))
+    rows: dict[int, tuple[float, float, int, int]] = {}
+    for (ci, spec, cfg), ok in zip(trials, outcomes):
+        c, alpha, wins, count = rows.get(ci, (cfg.c_rows, spec.alpha, 0, 0))
+        rows[ci] = (c, alpha, wins + ok, count + 1)
+    return list(rows.values())
 
 
 def bench_specs(sizes: list[int], alpha: float, cfg: SolverConfig) -> list[SyntheticSpec]:
@@ -148,7 +147,7 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     for start in range(0, n_frames, VIDEO_CHUNK):
         stop = min(start + VIDEO_CHUNK, n_frames)
         cols = IndexSet(np.arange(start, stop, dtype=np.int64), n_frames)
-        low = cur_eval_cols(cur, cols)
+        low = cur_eval(cur, cols=cols)
         resid = np.abs(D[:, start:stop] - low)
         peaks = resid.max(axis=0)
         peaks[peaks == 0.0] = 1.0

@@ -159,17 +159,25 @@ class PinvFactor(SvdFactors):
     def effective_rank(self) -> int:
         return int(np.count_nonzero(self.inv_sigma))
 
+    # No caller in ircur; kept because bench/shims.py wraps it and its tests check that.
     def apply_left(self, X: Matrix) -> Matrix:
         """U+ @ X for X with rows(U) rows."""
         T = tracked(self.W.T @ X)
         T *= self.inv_sigma[:, None]
         return tracked(self.V @ T)
 
-    def apply_right(self, X: Matrix) -> Matrix:
-        """X @ U+ for X with cols(U) columns."""
+    def apply_right(self, X: Matrix, Y: Matrix, out: Matrix | None = None) -> Matrix:
+        """X @ U+ @ Y for X with cols(U) columns and Y with rows(U) rows.
+
+        Evaluated as (X V diag(inv_sigma)) (W^T Y), so no intermediate is
+        wider than the rank k of the factor.  Written into ``out`` if given.
+        """
         T = tracked(X @ self.V)
         T *= self.inv_sigma
-        return tracked(T @ self.W.T)
+        Z = tracked(self.W.T @ Y)
+        if out is None:
+            return tracked(T @ Z)
+        return np.matmul(T, Z, out=out)
 
 
 def pinv_factor(M: Matrix) -> PinvFactor:

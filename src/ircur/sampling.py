@@ -73,10 +73,6 @@ class IndexSet:
     def size(self) -> int:
         return int(self.indices.size)
 
-    @classmethod
-    def full(cls, n: int) -> "IndexSet":
-        return cls(np.arange(n, dtype=np.int64), n)
-
 
 def sample_count(n: int, r: int, c: float) -> int:
     """Number of indices to sample: min(n, max(r, ceil(c * r * ln(n))))."""

@@ -14,6 +14,10 @@ then evaluates L_{k+1} on the same slabs for the stopping statistic, the
 relative slab residual of D - L_{k+1} - S_{k+1}; iteration stops when it
 drops to ``eps``.  The full n x n estimates are never materialized.
 
+L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
+(C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
+the core, costing O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).
+
 Two index policies are provided: ``fixed`` keeps I, J for the whole run
 (fastest, minimal data access); ``resampled`` redraws them every iteration
 (more robust to an unlucky draw, slightly more work since each draw
@@ -22,6 +26,7 @@ gathers fresh slabs and evaluates L_k on them).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -77,8 +82,8 @@ class SolverConfig:
             raise ValueError(f"zeta0 must be > 0 (or None), got {self.zeta0}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.c_rows <= 0 or self.c_cols <= 0:
-            raise ValueError("sampling constants must be > 0")
+        if not (0 < self.c_rows < math.inf and 0 < self.c_cols < math.inf):
+            raise ValueError("sampling constants must be finite and > 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.max_iter < 1:
@@ -169,41 +174,27 @@ def threshold_at(config: SolverConfig, k: int) -> float:
     return config.gamma**k * config.zeta0
 
 
-def cur_eval_rows(cur: CurFactors, rows: IndexSet, out: Matrix | None = None) -> Matrix:
-    """Rows of the low-rank estimate: (C restricted to rows) * U+ * R.
+def cur_eval(
+    cur: CurFactors, rows: IndexSet | None = None, cols: IndexSet | None = None,
+    out: Matrix | None = None,
+) -> Matrix:
+    """The low-rank estimate C * U+ * R on rows x cols, written into ``out`` if given.
 
-    Written into ``out`` if given.  Never allocates an n x n intermediate.
+    None selects every row or column, and that side uses C or R without a
+    copy; with both None the full matrix is allocated (test scale only).
+    The product goes through :meth:`PinvFactor.apply_right`.
     """
-    c_rows = submatrix(cur.C, rows, None)
-    t = cur.core_pinv.apply_right(c_rows)
-    if out is None:
-        return tracked(t @ cur.R)
-    return np.matmul(t, cur.R, out=out)
-
-
-def cur_eval_cols(cur: CurFactors, cols: IndexSet, out: Matrix | None = None) -> Matrix:
-    """Columns of the low-rank estimate: C * U+ * (R restricted to cols).
-
-    Written into ``out`` if given.
-    """
-    r_cols = submatrix(cur.R, None, cols)
-    t = cur.core_pinv.apply_left(r_cols)
-    if out is None:
-        return tracked(cur.C @ t)
-    return np.matmul(cur.C, t, out=out)
-
-
-def materialize(cur: CurFactors) -> Matrix:
-    """Dense C * U+ * R.  Test-scale only; allocates the full matrix."""
-    return cur_eval_cols(cur, IndexSet.full(cur.cols.bound))
+    c = cur.C if rows is None else submatrix(cur.C, rows, None)
+    r = cur.R if cols is None else submatrix(cur.R, None, cols)
+    return cur.core_pinv.apply_right(c, r, out)
 
 
 def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows=None, l_cols=None):
-    l_rows = cur_eval_rows(cur, rows, l_rows)
-    l_cols = cur_eval_cols(cur, cols, l_cols)
-    # The row and column evaluations parenthesize C * U+ * R differently, so
-    # their (I, J) blocks can differ in the last ulp.  Copy the row view into
-    # the column view so downstream intersection blocks agree bitwise.
+    l_rows = cur_eval(cur, rows, None, l_rows)
+    l_cols = cur_eval(cur, None, cols, l_cols)
+    # The row and column slabs are separate GEMMs, so their (I, J) blocks can
+    # differ in the last ulp.  Copy the row view into the column view so
+    # downstream intersection blocks agree bitwise.
     block = tracked(l_rows[:, cols.indices])
     l_cols[rows.indices, :] = block
     return l_rows, l_cols

@@ -14,7 +14,7 @@ import numpy as np
 
 from .matcore import Matrix, frob_norm, inf_norm
 from .sampling import RngSeed
-from .solver import CurFactors, materialize
+from .solver import CurFactors, cur_eval
 
 # A recovery counts as successful when the low-rank estimate is within
 # this relative Frobenius error of the ground truth.
@@ -174,7 +174,7 @@ def success_check(cur: CurFactors, L_true: Matrix) -> bool:
 
     Test-scale only: materializes the CUR product.
     """
-    err = frob_norm(materialize(cur) - L_true)
+    err = frob_norm(cur_eval(cur) - L_true)
     base = frob_norm(L_true)
     if base == 0.0:
         return err <= SUCCESS_TOL

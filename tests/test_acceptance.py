@@ -13,6 +13,7 @@ from ircur.experiments import (
     ExperimentGrid,
     bench_specs,
     run_bench,
+    phase_trials,
     run_phase_transition,
     run_video,
 )
@@ -26,7 +27,7 @@ from ircur.mio import (
     write_matrix,
 )
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import SolverConfig, materialize, sample_slabs, solve, step
+from ircur.solver import SolverConfig, cur_eval, sample_slabs, solve, step
 from ircur.synth import SyntheticSpec, gen_low_rank, make_data_matrix, make_problem, make_video
 
 
@@ -57,7 +58,7 @@ def test_criterion_1_cur_identity():
         L = gen_low_rank(30, r, RngSeed(1000 + case))
         cur = exact_cur(L, r, m=3 * r + 10, seed=case)
         assert cur.core_pinv.effective_rank == r
-        rel = frob_norm(materialize(cur) - L) / frob_norm(L)
+        rel = frob_norm(cur_eval(cur) - L) / frob_norm(L)
         worst = max(worst, rel)
     report(1, worst <= 1e-9, t0, f"worst relative error {worst:.2e} over 100 cases")
 
@@ -76,7 +77,7 @@ def test_criterion_2_clean_recovery():
                 seed=RngSeed(2500 + trial, n),
             )
             cur, _, trace = solve(inst.D, cfg)
-            err = frob_norm(materialize(cur) - inst.L) / frob_norm(inst.L)
+            err = frob_norm(cur_eval(cur) - inst.L) / frob_norm(inst.L)
             worst_err = max(worst_err, err)
             worst_iters = max(worst_iters, trace.iterations)
             if not (trace.converged and trace.iterations <= 60 and err <= 1e-5):
@@ -104,7 +105,7 @@ def test_criterion_3_phase_transition():
         cfg = SolverConfig(
             rank=5, eps=1e-5, gamma=0.65, mode=mode, max_iter=60, seed=RngSeed(42)
         )
-        for c, alpha, successes, trials in run_phase_transition(grid, cfg):
+        for c, alpha, successes, trials in run_phase_transition(phase_trials(grid, cfg)):
             wins[(mode, c, alpha)] = successes
 
     problems = []
@@ -205,7 +206,7 @@ def test_criterion_7_cur_to_svd():
         L = gen_low_rank(n, r, RngSeed(7000 + case))
         cur = exact_cur(L, r, m=4 * r + 10, seed=case + 31)
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
-        product = materialize(cur)
+        product = cur_eval(cur)
         scale = frob_norm(product)
         recon = frob_norm((fac.W * fac.sigma) @ fac.V.T - product) / scale
         k = fac.sigma.size
@@ -259,7 +260,7 @@ def test_criterion_8_threshold_schedule_and_support():
                 np.all((sp.row_values != 0) <= on_rows)
                 and np.all((sp.col_values != 0) <= on_cols)
             )
-            prev_dense = materialize(cur)
+            prev_dense = cur_eval(cur)
         if holds:
             qualifying += 1
             contained += supp_ok

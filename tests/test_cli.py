@@ -5,7 +5,9 @@ import pytest
 
 from ircur import cli, experiments
 from ircur.cli import main
-from ircur.experiments import ExperimentGrid, harness_threads, run_phase_transition
+from ircur.experiments import (
+    ExperimentGrid, harness_threads, phase_trials, run_phase_transition,
+)
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import FrameSequence, read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
@@ -115,6 +117,12 @@ def test_flags_an_experiment_sets_itself_are_rejected(argv, capsys):
     ["phase-transition", "--c-grid", ""],
     ["bench", "--alpha", "1.5"],
     ["solve", "{matrix}", "--gamma", "1.5"],
+    ["phase-transition", "--alpha-grid", "1.5"],
+    ["phase-transition", "--n", "0"],
+    ["phase-transition", "--n", "3", "--rank", "5"],
+    ["phase-transition", "--c-grid", "0"],
+    ["solve", "{matrix}", "--c-rows", "nan"],
+    ["solve", "{matrix}", "--c-cols", "inf"],
 ])
 def test_out_of_range_flag_value_is_a_usage_error(argv, clean_matrix, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -239,18 +247,19 @@ def test_phase_transition_csv_deterministic(tmp_path):
 def test_phase_transition_clean_column_always_succeeds(tmp_path):
     grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0,), trials=4, n=60)
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=40, seed=RngSeed(7))
-    rows = run_phase_transition(grid, cfg)
+    rows = run_phase_transition(phase_trials(grid, cfg))
     assert all(wins == trials for _, _, wins, trials in rows)
 
 
 def test_phase_transition_parallel_matches_serial(monkeypatch):
     grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0, 0.2), trials=3, n=50)
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=30, seed=RngSeed(9))
-    serial = run_phase_transition(grid, cfg, threads=0)
-    threaded = run_phase_transition(grid, cfg, threads=4)
+    trials = phase_trials(grid, cfg)
+    serial = run_phase_transition(trials, threads=0)
+    threaded = run_phase_transition(trials, threads=4)
     assert serial == threaded
     monkeypatch.setenv("IRCUR_THREADS", "2")
-    from_env = run_phase_transition(grid, cfg)
+    from_env = run_phase_transition(trials)
     assert from_env == serial
 
 

@@ -5,7 +5,7 @@ from ircur import matcore
 from ircur.convert import cur_to_svd
 from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import materialize, sample_slabs, step
+from ircur.solver import cur_eval, sample_slabs, step
 from ircur.synth import gen_low_rank
 
 rng = np.random.default_rng(123)
@@ -58,7 +58,7 @@ def test_reconstruction_and_orthonormality(seed):
     L = gen_low_rank(n, r, RngSeed(seed, 3))
     cur = exact_cur(L, r, seed=seed + 10)
     fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
-    product = materialize(cur)
+    product = cur_eval(cur)
     recon = (fac.W * fac.sigma) @ fac.V.T
     assert frob_norm(recon - product) <= 1e-10 * frob_norm(product)
     k = fac.sigma.size

@@ -163,7 +163,7 @@ def test_pinv_matches_solve_oracle():
 def test_pinv_zero_matrix_maps_to_zero():
     fac = pinv_factor(np.zeros((3, 4)))
     assert not fac.apply_left(rng.standard_normal((3, 2))).any()
-    assert not fac.apply_right(rng.standard_normal((5, 4))).any()
+    assert not fac.apply_right(rng.standard_normal((5, 4)), np.eye(3)).any()
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
@@ -183,7 +183,7 @@ def test_pinv_rank_deficient_projector():
     A = rng.standard_normal((6, 2))
     U = A @ A.T
     fac = pinv_factor(U)
-    recon = fac.apply_right(U) @ U
+    recon = fac.apply_right(U, np.eye(6)) @ U
     assert frob_norm(recon - U) <= 1e-10 * frob_norm(U)
 
 
@@ -191,7 +191,7 @@ def test_pinv_sides_agree():
     U = rng.standard_normal((5, 7))
     fac = pinv_factor(U)
     left = fac.apply_left(np.eye(5))
-    right = fac.apply_right(np.eye(7))
+    right = fac.apply_right(np.eye(7), np.eye(5))
     np.testing.assert_allclose(left, right, atol=1e-12)
 
 

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ircur.matcore import frob_norm, inf_norm
+from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import IndexSet, RngSeed, sample_indices
 from ircur.solver import (
+    CurFactors,
     SolverConfig,
-    cur_eval_cols,
-    cur_eval_rows,
+    cur_eval,
     hard_threshold,
-    materialize,
     sample_slabs,
     solve,
     step,
@@ -91,16 +90,16 @@ def test_cur_eval_rank_one_example():
     L = np.outer(u, u)
     idx = IndexSet(np.array([0, 1]), 4)
     cur = exact_cur(L, idx, idx, 1)
-    np.testing.assert_allclose(cur_eval_rows(cur, idx), L[:2, :], atol=1e-10)
-    np.testing.assert_allclose(cur_eval_cols(cur, idx), L[:, :2], atol=1e-10)
+    np.testing.assert_allclose(cur_eval(cur, rows=idx), L[:2, :], atol=1e-10)
+    np.testing.assert_allclose(cur_eval(cur, cols=idx), L[:, :2], atol=1e-10)
 
 
 def test_cur_eval_zero_factors_annihilate():
     rows = IndexSet(np.array([1, 3]), 6)
     cols = IndexSet(np.array([0, 2, 5]), 6)
     cur, _, _ = step(sample_slabs(np.zeros((6, 6)), rows, cols), 0.0, 2)
-    assert not cur_eval_rows(cur, rows).any()
-    assert not cur_eval_cols(cur, cols).any()
+    assert not cur_eval(cur, rows=rows).any()
+    assert not cur_eval(cur, cols=cols).any()
 
 
 def test_cur_eval_reproduces_slabs_of_exact_decomposition():
@@ -108,8 +107,8 @@ def test_cur_eval_reproduces_slabs_of_exact_decomposition():
     rows = sample_indices(10, 8, RngSeed(1))
     cols = sample_indices(10, 8, RngSeed(2))
     cur = exact_cur(L, rows, cols, 3)
-    np.testing.assert_allclose(cur_eval_rows(cur, rows), cur.R, atol=1e-9)
-    np.testing.assert_allclose(cur_eval_cols(cur, cols), cur.C, atol=1e-9)
+    np.testing.assert_allclose(cur_eval(cur, rows=rows), cur.R, atol=1e-9)
+    np.testing.assert_allclose(cur_eval(cur, cols=cols), cur.C, atol=1e-9)
 
 
 def test_materialize_recovers_full_matrix():
@@ -117,7 +116,32 @@ def test_materialize_recovers_full_matrix():
     rows = sample_indices(12, 9, RngSeed(3))
     cols = sample_indices(12, 9, RngSeed(4))
     cur = exact_cur(L, rows, cols, 2)
-    assert frob_norm(materialize(cur) - L) <= 1e-9 * frob_norm(L)
+    assert frob_norm(cur_eval(cur) - L) <= 1e-9 * frob_norm(L)
+
+
+def test_cur_eval_rank_deficient_core_matches_dense_pinv():
+    # A 9 x 7 estimate whose 3 x 4 core has rank 1, so some inv_sigma is 0;
+    # C and R are unrelated to the core, so only the product is checked.
+    g = np.random.default_rng(3)
+    U = np.outer(g.standard_normal(3), g.standard_normal(4))
+    fac = pinv_factor(U)
+    assert fac.effective_rank == 1 and 0.0 in fac.inv_sigma
+    cur = CurFactors(
+        C=g.standard_normal((9, 4)), core_pinv=fac, R=g.standard_normal((3, 7)),
+        rows=IndexSet(np.array([1, 4, 6]), 9), cols=IndexSet(np.array([0, 2, 3, 5]), 7),
+    )
+    U_pinv = np.linalg.pinv(U, rcond=1e-10)
+    dense = cur.C @ U_pinv @ cur.R
+    for rows in (None, IndexSet(np.array([0, 3, 4, 8]), 9)):
+        for cols in (None, IndexSet(np.array([1, 2, 6]), 7)):
+            expect = dense if rows is None else dense[rows.indices]
+            expect = expect if cols is None else expect[:, cols.indices]
+            np.testing.assert_allclose(cur_eval(cur, rows, cols), expect, atol=1e-10)
+            out = np.empty_like(expect)
+            assert cur_eval(cur, rows, cols, out) is out
+            np.testing.assert_allclose(out, expect, atol=1e-10)
+    X, Y = g.standard_normal((5, 4)), g.standard_normal((3, 6))
+    np.testing.assert_allclose(fac.apply_right(X, Y), X @ U_pinv @ Y, atol=1e-10)
 
 
 # ------------------------------------------------- one step: Phase I (sparse)
@@ -174,14 +198,14 @@ def test_phase2_reproduces_exact_rank_r():
     rows = sample_indices(20, 15, RngSeed(3))
     cols = sample_indices(20, 15, RngSeed(4))
     cur = exact_cur(D, rows, cols, 3)
-    assert frob_norm(materialize(cur) - D) <= 1e-9 * frob_norm(D)
+    assert frob_norm(cur_eval(cur) - D) <= 1e-9 * frob_norm(D)
 
 
 def test_phase2_zero_input():
     rows = sample_indices(6, 4, RngSeed(5))
     cols = sample_indices(6, 4, RngSeed(6))
     cur = exact_cur(np.zeros((6, 6)), rows, cols, 2)
-    assert not materialize(cur).any()
+    assert not cur_eval(cur).any()
 
 
 def test_phase2_no_truncation_when_rank_exceeds_samples():
@@ -189,7 +213,7 @@ def test_phase2_no_truncation_when_rank_exceeds_samples():
     rows = IndexSet(np.array([1, 4, 6]), 9)
     cols = IndexSet(np.array([0, 2, 8]), 9)
     cur = exact_cur(D, rows, cols, 5)
-    dense = materialize(cur)
+    dense = cur_eval(cur)
     np.testing.assert_allclose(dense[rows.indices, :], D[rows.indices, :], atol=1e-10)
     np.testing.assert_allclose(dense[:, cols.indices], D[:, cols.indices], atol=1e-10)
 
@@ -224,7 +248,7 @@ def test_residual_error_matches_dense_oracle_after_perturbation():
     assert not sparse.row_values.any() and not sparse.col_values.any()
 
     # Independent dense recomputation of the stopping statistic.
-    L_dense = materialize(cur)
+    L_dense = cur_eval(cur)
     num = np.linalg.norm((D - L_dense)[rows.indices, :], "fro") + np.linalg.norm(
         (D - L_dense)[:, cols.indices], "fro"
     )
@@ -251,7 +275,7 @@ def test_solve_exact_rank_r_converges_fast():
     cfg = SolverConfig(rank=5, zeta0=inf_norm(D), gamma=0.65, seed=RngSeed(22))
     cur, sparse, trace = solve(D, cfg)
     assert trace.converged and trace.errors[-1] <= 1e-5
-    assert frob_norm(materialize(cur) - D) <= 1e-5 * frob_norm(D)
+    assert frob_norm(cur_eval(cur) - D) <= 1e-5 * frob_norm(D)
 
 
 def test_solve_zero_matrix():
@@ -259,7 +283,7 @@ def test_solve_zero_matrix():
     assert trace.converged
     assert trace.errors == [0.0]
     assert trace.iterations == 0
-    assert not materialize(cur).any()
+    assert not cur_eval(cur).any()
 
 
 def test_solve_corrupted_instance_meets_success_rule():
@@ -270,7 +294,7 @@ def test_solve_corrupted_instance_meets_success_rule():
     )
     cur, _, trace = solve(inst.D, cfg)
     assert trace.converged
-    err = frob_norm(materialize(cur) - inst.L) / frob_norm(inst.L)
+    err = frob_norm(cur_eval(cur) - inst.L) / frob_norm(inst.L)
     assert err <= 1e-3
 
 
@@ -379,7 +403,7 @@ def test_solve_rectangular_matrix():
     L = gen_low_rank(40, 3, RngSeed(90), n_cols=25)
     cur, _, trace = solve(L, SolverConfig(rank=3, seed=RngSeed(91)))
     assert trace.converged
-    assert frob_norm(materialize(cur) - L) <= 1e-5 * frob_norm(L)
+    assert frob_norm(cur_eval(cur) - L) <= 1e-5 * frob_norm(L)
 
 
 def test_solve_with_overestimated_rank():
@@ -389,7 +413,7 @@ def test_solve_with_overestimated_rank():
     cur, _, trace = solve(L, SolverConfig(rank=5, seed=RngSeed(95)))
     assert trace.converged
     assert cur.core_pinv.effective_rank == 2
-    assert frob_norm(materialize(cur) - L) <= 1e-5 * frob_norm(L)
+    assert frob_norm(cur_eval(cur) - L) <= 1e-5 * frob_norm(L)
 
 
 def test_solve_tiny_matrices():
@@ -400,11 +424,11 @@ def test_solve_tiny_matrices():
     one = np.array([[2.5]])
     cur, _, trace = solve(one, SolverConfig(rank=1, seed=RngSeed(92)))
     assert trace.converged
-    np.testing.assert_allclose(materialize(cur), one, atol=1e-12)
+    np.testing.assert_allclose(cur_eval(cur), one, atol=1e-12)
     small = np.outer(rng.standard_normal(3), rng.standard_normal(3))
     cur, _, trace = solve(small, SolverConfig(rank=5, seed=RngSeed(93)))
     assert trace.converged
-    np.testing.assert_allclose(materialize(cur), small, atol=1e-9)
+    np.testing.assert_allclose(cur_eval(cur), small, atol=1e-9)
 
 
 def test_solver_config_validation():

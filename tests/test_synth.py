@@ -3,7 +3,7 @@ import pytest
 
 from ircur.matcore import frob_norm, inf_norm
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import SolverConfig, materialize, sample_slabs, solve, step
+from ircur.solver import SolverConfig, cur_eval, sample_slabs, solve, step
 from ircur.synth import (
     SyntheticSpec,
     assumption_report,
@@ -96,7 +96,7 @@ def test_make_problem_clean_instance_recovers():
     inst = make_problem(SyntheticSpec(100, 5, 0.0, RngSeed(14)))
     cur, _, trace = solve(inst.D, SolverConfig(rank=5, seed=RngSeed(15)))
     assert trace.converged
-    err = frob_norm(materialize(cur) - inst.L) / frob_norm(inst.L)
+    err = frob_norm(cur_eval(cur) - inst.L) / frob_norm(inst.L)
     assert err <= 1e-5
 
 
