@@ -129,7 +129,7 @@ def _read_csv(path: Path) -> Matrix:
         require_finite(M)
     except ValueError:
         raise FormatError("non-finite value", path=path) from None
-    return np.asfortranarray(M)
+    return M
 
 
 @dataclass

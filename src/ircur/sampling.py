@@ -78,7 +78,10 @@ def sample_count(n: int, r: int, c: float) -> int:
     """Number of indices to sample: min(n, max(r, ceil(c * r * ln(n))))."""
     if n < 1 or r < 1 or c <= 0:
         raise ValueError(f"need n >= 1, r >= 1, c > 0; got n={n}, r={r}, c={c}")
-    return min(n, max(r, math.ceil(c * r * math.log(n))))
+    if n == 1:
+        return 1  # c * r may overflow to inf, and inf * log(1) is NaN
+    # Clamp at n before ceil, which cannot take an overflowed product.
+    return min(n, max(r, math.ceil(min(c * r * math.log(n), n))))
 
 
 def sample_indices(n: int, m: int, rng: RngSeed | np.random.Generator) -> IndexSet:

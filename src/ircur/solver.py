@@ -6,13 +6,16 @@ on D and L_k restricted to a handful of sampled rows (I) and columns (J):
 
   Phase I   threshold the residual D - L_k on the sampled slabs to get
             S_{k+1}, with a geometrically decaying cutoff
-            zeta_k = gamma^(k-1) * zeta0;
+            zeta_k = gamma^(k-1) * zeta0 (:func:`hard_threshold`, which
+            also returns D - S_{k+1});
   Phase II  rebuild L_{k+1} as a CUR decomposition of D - S_{k+1},
             rank-truncating only the small |I| x |J| core;
 
 then evaluates L_{k+1} on the same slabs for the stopping statistic, the
-relative slab residual of D - L_{k+1} - S_{k+1}; iteration stops when it
-drops to ``eps``.  The full n x n estimates are never materialized.
+relative slab residual (D - S_{k+1}) - L_{k+1}; iteration stops when it
+drops to ``eps``.  The D slabs are only read, so the two index policies
+below differ only in when I and J are drawn.  The full n x n estimates
+are never materialized.
 
 L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
 (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
@@ -139,9 +142,12 @@ class SolverTrace:
 
     errors[i] and thresholds[i] belong to iteration i+1, so
     thresholds[i] == gamma**i * zeta0 and errors[-1] is the final
-    stopping statistic.  ``allocated`` records the transient allocation
-    (8-byte scalar units) per iteration as seen by the matcore meter;
-    sampled_rows/sampled_cols record |I| and |J| per iteration.
+    stopping statistic, the slab residual (D - S) - L of :func:`step`.
+    ``allocated`` records the allocation (8-byte scalar units) per
+    iteration as seen by the matcore meter: per slab, S, D - S and one
+    transient residual, plus the L evaluation (and, when resampling, the
+    new draw's gathers); no boolean arrays.  sampled_rows/sampled_cols
+    record |I| and |J| per iteration.
     """
 
     errors: list[float] = field(default_factory=list)
@@ -154,15 +160,20 @@ class SolverTrace:
     sampled_cols: list[int] = field(default_factory=list)
 
 
-def hard_threshold(X: Matrix, zeta: float) -> Matrix:
-    """In-place hard thresholding: zero every x with |x| <= zeta; returns X."""
+def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> tuple[Matrix, Matrix]:
+    """S = D - L with every entry of magnitude <= zeta zeroed, and D - S.
+
+    The keep mask is formed as 0.0/1.0 floats in the buffer that then
+    receives D - S, so no boolean array of the slab's size is allocated.
+    Zeroed entries of S may be -0.0.
+    """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    low = tracked(X <= zeta)
-    high = tracked(X >= -zeta)
-    low &= high
-    X[low] = 0.0
-    return X
+    S = tracked(D - L)
+    keep = tracked(np.abs(S))
+    np.greater(keep, zeta, out=keep)
+    S *= keep
+    return S, np.subtract(D, S, out=keep)
 
 
 def threshold_at(config: SolverConfig, k: int) -> float:
@@ -229,27 +240,23 @@ def sample_slabs(
     return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 
-def step(
-    slabs: Slabs, zeta: float, rank: int, scratch: tuple[Matrix, Matrix] | None = None
-) -> tuple[CurFactors, SparseEstimate, float]:
+def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
     """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e).
 
     S_{k+1} is D - L_k thresholded at ``zeta``; the core H_r([D - S]_{I,J})
     and its pseudoinverse share one SVD.  L_{k+1} is evaluated into the
-    record's L slabs, so a fixed-index caller steps the same record again.
-    e = (||[D-L-S]_{I,:}||_F + ||[D-L-S]_{:,J}||_F) / den (0 if den is 0);
-    the residual goes into ``scratch`` (row- and column-slab buffers), by
-    default into the D slabs, which leaves the record spent.
+    record's L slabs, so a fixed-index caller steps the same record again;
+    the D slabs are only read.
+    e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
+    taken from the D - S slabs that also serve as the new R and C.
     """
     rows, cols = slabs.rows, slabs.cols
 
-    # Phase I: sparse slab update.
-    s_rows = hard_threshold(tracked(slabs.d_rows - slabs.l_rows), zeta)
-    s_cols = hard_threshold(tracked(slabs.d_cols - slabs.l_cols), zeta)
+    # Phase I: sparse slab update, which also yields the D - S slabs.
+    s_rows, r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta)
+    s_cols, c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
 
     # Phase II: CUR update with rank-truncated core.
-    c_new = tracked(slabs.d_cols - s_cols)
-    r_new = tracked(slabs.d_rows - s_rows)
     core = submatrix(r_new, None, cols)
     fac = truncated_svd(core, rank)
     cur = CurFactors(
@@ -258,12 +265,8 @@ def step(
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
-    res_rows, res_cols = scratch or (slabs.d_rows, slabs.d_cols)
-    np.subtract(slabs.d_rows, slabs.l_rows, out=res_rows)
-    res_rows -= s_rows
-    np.subtract(slabs.d_cols, slabs.l_cols, out=res_cols)
-    res_cols -= s_cols
-    e = (frob_norm(res_rows) + frob_norm(res_cols)) / slabs.den if slabs.den else 0.0
+    num = frob_norm(tracked(r_new - slabs.l_rows)) + frob_norm(tracked(c_new - slabs.l_cols))
+    e = num / slabs.den if slabs.den else 0.0
     return cur, SparseEstimate(s_rows, s_cols, rows, cols), e
 
 
@@ -306,29 +309,18 @@ def solve(
         # den > 0 guarantees max |D| > 0, so this is a valid threshold.
         cfg = replace(cfg, zeta0=inf_norm(D))
 
-    # With fixed indices the slab shapes never change, so the residual goes
-    # into buffers allocated once.  Resampled mode writes it into each
-    # draw's D slabs, which are dead once the step returns.
-    fixed = cfg.mode == "fixed"
-    scratch = None
-    if fixed:
-        scratch = (
-            tracked(np.empty((rows.size, n2))),
-            tracked(np.empty((n1, cols.size))),
-        )
-
     for k in range(cfg.max_iter):
         t0 = time.perf_counter()
         alloc0 = matcore.ALLOCATIONS.count
 
-        if not fixed and k > 0:
+        if cfg.mode == "resampled" and k > 0:
             rows = sample_indices(n1, m_rows, gen)
             cols = sample_indices(n2, m_cols, gen)
             slabs = None  # free the last draw's slabs before gathering new ones
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = threshold_at(cfg, k)
-        cur, sparse, e = step(slabs, zeta, cfg.rank, scratch)
+        cur, sparse, e = step(slabs, zeta, cfg.rank)
 
         trace.errors.append(e)
         trace.thresholds.append(zeta)

@@ -48,22 +48,6 @@ class ProblemInstance:
     S: Matrix
 
 
-@dataclass
-class AssumptionReport:
-    """Diagnostics for the incoherence of L and the spread of S.
-
-    mu_estimate uses the compact SVD of L; alpha_rowcol is the largest
-    fraction of nonzeros in any single row or column of S.  degenerate is
-    set (and mu_estimate is NaN) when L is identically zero.
-    """
-
-    mu_estimate: float
-    max_row_nnz: int
-    max_col_nnz: int
-    alpha_rowcol: float
-    degenerate: bool = False
-
-
 def _generator(rng: RngSeed | np.random.Generator) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngSeed) else rng
 
@@ -146,26 +130,6 @@ def make_data_matrix(spec: SyntheticSpec) -> tuple[Matrix, float]:
     support, values = _sparse_parts(D, spec.alpha, gen)
     D.flat[support] += values
     return D, l_inf
-
-
-def assumption_report(L: Matrix, S: Matrix, rank: int) -> AssumptionReport:
-    """Measure incoherence of L and per-row/column sparsity of S."""
-    n1, n2 = L.shape
-    row_nnz = np.count_nonzero(S, axis=1)
-    col_nnz = np.count_nonzero(S, axis=0)
-    max_row = int(row_nnz.max()) if row_nnz.size else 0
-    max_col = int(col_nnz.max()) if col_nnz.size else 0
-    alpha_rowcol = max(max_row / n2, max_col / n1)
-    if not L.any():
-        return AssumptionReport(float("nan"), max_row, max_col, alpha_rowcol, degenerate=True)
-    U, s, Vt = np.linalg.svd(L, full_matrices=False)
-    k = int(np.count_nonzero(s > 1e-10 * s[0]))
-    W, V = U[:, :k], Vt[:k, :].T
-    mu = max(
-        (n1 / rank) * float(np.max(np.einsum("ij,ij->i", W, W))),
-        (n2 / rank) * float(np.max(np.einsum("ij,ij->i", V, V))),
-    )
-    return AssumptionReport(mu, max_row, max_col, alpha_rowcol)
 
 
 def success_check(cur: CurFactors, L_true: Matrix) -> bool:

@@ -166,6 +166,14 @@ def test_solve_clean_exit_zero(tmp_path, clean_matrix, capsys):
     assert frob_norm(recon - L) <= 1e-6 * frob_norm(L)
 
 
+def test_solve_huge_sampling_constant_exits_cleanly(tmp_path, capsys):
+    p = tmp_path / "m.bin"
+    write_matrix(gen_low_rank(30, 5, RngSeed(12)), p)
+    code = main(["solve", str(p), "--c-rows", "1e308", "--out-dir", str(tmp_path / "out")])
+    assert code in (0, 2)
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_corrupt_file_exit_one(tmp_path):
     p = tmp_path / "garbage.bin"
     p.write_bytes(b"not a matrix at all")

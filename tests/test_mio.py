@@ -113,6 +113,20 @@ def test_bin_read_holds_payload_once(tmp_path):
     np.testing.assert_array_equal(out, M)
 
 
+def test_csv_read_holds_matrix_once(tmp_path):
+    M = rng.standard_normal((500, 500))
+    p = tmp_path / "m.csv"
+    write_matrix(M, p, "csv")
+    tracemalloc.start()
+    try:
+        out = read_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * M.nbytes
+    np.testing.assert_array_equal(out, M)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "long.bin"
     p.write_bytes(BIN_MAGIC + struct.pack("<ii", 1, 1) + b"\x00" * 9)

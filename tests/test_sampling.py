@@ -18,6 +18,8 @@ def test_sample_count_lower_clamp():
 
 def test_sample_count_upper_clamp():
     assert sample_count(20, 10, 100.0) == 20
+    assert sample_count(30, 5, 1e308) == 30  # c * r overflows to inf
+    assert sample_count(1, 3, 1e308) == 1  # inf * log(1) would be NaN
 
 
 def test_sample_count_rejects_bad_arguments():

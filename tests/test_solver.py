@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ircur import matcore
 from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import IndexSet, RngSeed, sample_indices
 from ircur.solver import (
@@ -32,41 +33,48 @@ def exact_cur(L, rows, cols, r):
 
 
 def test_hard_threshold_example():
-    X = np.array([[3.0, -1.0], [0.5, 2.0]])
-    np.testing.assert_array_equal(hard_threshold(X, 1.0), [[3.0, 0.0], [0.0, 2.0]])
+    D = np.array([[3.0, -1.0], [0.5, 2.0]])
+    S, rest = hard_threshold(D, np.zeros((2, 2)), 1.0)
+    np.testing.assert_array_equal(S, [[3.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(rest, [[0.0, -1.0], [0.5, 0.0]])
 
 
 def test_hard_threshold_zero_cutoff_keeps_nonzeros():
     X = np.array([[0.0, -2.0], [1e-300, 0.0]])
-    out = hard_threshold(X.copy(), 0.0)
-    np.testing.assert_array_equal(out, X)
+    S, rest = hard_threshold(X, np.zeros((2, 2)), 0.0)
+    np.testing.assert_array_equal(S, X)
+    assert not rest.any()
 
 
 def test_hard_threshold_full_suppression():
     X = rng.standard_normal((5, 5))
-    assert not hard_threshold(X, inf_norm(X)).any()
+    S, rest = hard_threshold(X, np.zeros((5, 5)), inf_norm(X))
+    assert not S.any()
+    np.testing.assert_array_equal(rest, X)
 
 
 def test_hard_threshold_boundary_is_strict():
-    assert hard_threshold(np.array([[1.0]]), 1.0)[0, 0] == 0.0
+    assert hard_threshold(np.array([[1.0]]), np.zeros((1, 1)), 1.0)[0][0, 0] == 0.0
 
 
 def test_hard_threshold_rejects_negative_cutoff():
     with pytest.raises(ValueError):
-        hard_threshold(np.eye(2), -0.1)
+        hard_threshold(np.eye(2), np.zeros((2, 2)), -0.1)
 
 
 @given(
     hnp.arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
+    hnp.arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
     st.floats(0, 5),
 )
 @settings(max_examples=50)
-def test_hard_threshold_pointwise_definition(X, zeta):
-    work = X.copy()
-    out = hard_threshold(work, zeta)
-    assert out is work  # in place
-    for x, o in zip(X.ravel(), out.ravel()):
-        assert o == (x if abs(x) > zeta else 0.0)
+def test_hard_threshold_pointwise_definition(D, L, zeta):
+    D0, L0 = D.copy(), L.copy()
+    S, rest = hard_threshold(D, L, zeta)
+    assert D0.tobytes() == D.tobytes() and L0.tobytes() == L.tobytes()  # inputs only read
+    for x, y, s, o in zip(D.ravel(), L.ravel(), S.ravel(), rest.ravel()):
+        assert s == (x - y if abs(x - y) > zeta else 0.0)  # == also admits -0.0
+        assert o == x - s
 
 
 def test_threshold_at_examples():
@@ -353,26 +361,52 @@ def test_solve_iteration_invariants(mode):
 
 def test_solve_matches_public_phase_ops_on_first_iteration():
     # The first solver iteration is one public step from L_0 = 0 on the
-    # first draw, with the residual written where solve writes it: into
-    # C-order buffers in fixed mode, into the D slabs (no scratch) in
-    # resampled mode.  Everything, e included, agrees bitwise.
+    # first draw, in either mode.  Everything, e included, agrees bitwise.
     inst = make_problem(SyntheticSpec(40, 3, 0.15, RngSeed(60)))
     for mode in ("resampled", "fixed"):
         cfg = SolverConfig(
             rank=3, zeta0=inf_norm(inst.D), mode=mode, max_iter=1, seed=RngSeed(61)
         )
         cur1, sp1, tr1 = solve(inst.D, cfg)
-        scratch = None
-        if mode == "fixed":
-            scratch = (np.empty((cur1.rows.size, 40)), np.empty((40, cur1.cols.size)))
-        slabs = sample_slabs(inst.D, cur1.rows, cur1.cols)
-        cur, sp, e = step(slabs, cfg.zeta0, 3, scratch)
+        cur, sp, e = step(sample_slabs(inst.D, cur1.rows, cur1.cols), cfg.zeta0, 3)
         np.testing.assert_array_equal(sp.row_values, sp1.row_values)
         np.testing.assert_array_equal(sp.col_values, sp1.col_values)
         np.testing.assert_array_equal(cur.C, cur1.C)
         np.testing.assert_array_equal(cur.R, cur1.R)
         np.testing.assert_array_equal(cur.core_pinv.sigma, cur1.core_pinv.sigma)
         assert e == tr1.errors[0]
+
+
+def test_step_leaves_the_d_slabs_unchanged():
+    inst = make_problem(SyntheticSpec(40, 3, 0.15, RngSeed(62)))
+    rows = sample_indices(40, 20, RngSeed(63))
+    cols = sample_indices(40, 20, RngSeed(64))
+    slabs = sample_slabs(inst.D, rows, cols)
+    d_rows, d_cols = slabs.d_rows.copy(), slabs.d_cols.copy()
+    # The second step starts from L_1 and thresholds at a cutoff some
+    # entries pass, so both phases write.
+    for zeta in (inf_norm(inst.D), 1e-3):
+        _, sparse, _ = step(slabs, zeta, 3)
+        assert slabs.d_rows.tobytes() == d_rows.tobytes()
+        assert slabs.d_cols.tobytes() == d_cols.tobytes()
+    assert sparse.row_values.any()
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_registers_no_boolean_arrays(mode, monkeypatch):
+    dtypes = []
+
+    class RecordingMeter(matcore.AllocationMeter):
+        def add_array(self, arr):
+            dtypes.append(arr.dtype)
+            return super().add_array(arr)
+
+    monkeypatch.setattr(matcore, "ALLOCATIONS", RecordingMeter())
+    inst = make_problem(SyntheticSpec(100, 4, 0.1, RngSeed(50)))
+    cfg = SolverConfig(rank=4, zeta0=2.0 * inf_norm(inst.L), mode=mode, seed=RngSeed(51))
+    _, sparse, trace = solve(inst.D, cfg)
+    assert trace.iterations > 1 and sparse.row_values.any()
+    assert dtypes and np.dtype(bool) not in dtypes
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])

@@ -6,7 +6,6 @@ from ircur.sampling import RngSeed, sample_indices
 from ircur.solver import SolverConfig, cur_eval, sample_slabs, solve, step
 from ircur.synth import (
     SyntheticSpec,
-    assumption_report,
     gen_low_rank,
     gen_sparse,
     make_data_matrix,
@@ -117,42 +116,6 @@ def test_synthetic_spec_validation():
         SyntheticSpec(10, 2, 1.0, RngSeed(0))
     with pytest.raises(ValueError):
         SyntheticSpec(10, 2, -0.1, RngSeed(0))
-
-
-def test_assumption_report_spike_row():
-    n, r = 12, 1
-    L = np.zeros((n, n))
-    L[3, :] = 1.0
-    rep = assumption_report(L, np.zeros((n, n)), r)
-    assert rep.mu_estimate == pytest.approx(n / r, rel=1e-12)
-
-
-def test_assumption_report_flat_matrix():
-    n = 16
-    rep = assumption_report(np.ones((n, n)), np.zeros((n, n)), 1)
-    assert rep.mu_estimate == pytest.approx(1.0, rel=1e-12)
-
-
-def test_assumption_report_gaussian_range():
-    L = gen_low_rank(200, 5, RngSeed(17))
-    rep = assumption_report(L, np.zeros((200, 200)), 5)
-    assert 1.0 <= rep.mu_estimate <= 10.0
-
-
-def test_assumption_report_counts_sparsity():
-    S = np.zeros((10, 10))
-    S[2, :7] = 1.0
-    S[:3, 9] = 1.0
-    rep = assumption_report(np.ones((10, 10)), S, 1)
-    assert rep.max_row_nnz == 8  # row 2 has 7 + the (2, 9) entry
-    assert rep.max_col_nnz == 3
-    assert rep.alpha_rowcol == pytest.approx(0.8)
-
-
-def test_assumption_report_zero_matrix_flagged():
-    rep = assumption_report(np.zeros((5, 5)), np.zeros((5, 5)), 2)
-    assert rep.degenerate
-    assert np.isnan(rep.mu_estimate)
 
 
 def test_success_check_true_and_false():
