@@ -3,7 +3,9 @@
 Subcommands
 -----------
 solve             decompose a matrix file, writing C/core/R factors and a
-                  per-iteration trace CSV (k,zeta,e,millis)
+                  trace CSV (k,zeta,e,millis) with one row per executed
+                  step; k is the schedule position, so in fixed mode it
+                  jumps over the skipped repeats of an idle first step
 phase-transition  success-count grid over sampling constant c and
                   corruption rate alpha; CSV rows c,alpha,successes,trials
 bench             runtime scaling over problem sizes; CSV rows
@@ -128,8 +130,10 @@ def cmd_solve(args) -> int:
         out / "trace.csv",
         "k,zeta,e,millis",
         [
-            (k + 1, trace.thresholds[k], trace.errors[k], trace.seconds[k] * 1000.0)
-            for k in range(trace.iterations)
+            (k + 1, zeta, e, seconds * 1000.0)
+            for k, zeta, e, seconds in zip(
+                trace.steps, trace.thresholds, trace.errors, trace.seconds
+            )
         ],
     )
     print(

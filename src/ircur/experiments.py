@@ -106,7 +106,7 @@ def run_bench(
     specs: list[SyntheticSpec], cfg: SolverConfig
 ) -> list[tuple[int, int, float, float, float]]:
     """One solve per spec; seconds_per_iteration is the minimum over the
-    run excluding the first (warm-up) iteration, which estimates the
+    executed steps excluding the first (warm-up) one, which estimates the
     deterministic per-iteration cost with scheduler noise removed.  Each
     solve sets its own ``zeta0`` and seed stream of ``cfg``."""
     rows = []

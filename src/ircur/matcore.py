@@ -54,14 +54,12 @@ def tracked(arr: np.ndarray) -> np.ndarray:
 def require_finite(M: Matrix) -> Matrix:
     """Validate an existing 2-D float64 array without copying it.
 
-    NaN and +-Inf propagate through min and max, so checking those two
-    reductions finds any non-finite entry without a temporary of M's size.
+    The entries are checked by :func:`inf_norm`'s one min/max pair.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
-        raise ValueError("matrix contains non-finite entries")
+    inf_norm(M)
     return M
 
 
@@ -73,10 +71,17 @@ def frob_norm(M: Matrix) -> float:
 
 
 def inf_norm(M: Matrix) -> float:
-    """Maximum absolute entry (no temporary of M's size is allocated)."""
+    """Maximum absolute entry, from one min/max pair (no temporary of M's size).
+
+    NaN and +-Inf propagate through min and max, so a non-finite entry
+    raises ValueError.
+    """
     if M.size == 0:
         return 0.0
-    return float(max(np.max(M), -np.min(M)))
+    hi, lo = np.max(M), np.min(M)
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError("matrix contains non-finite entries")
+    return float(max(hi, -lo))
 
 
 def _index_array(sel) -> np.ndarray:

@@ -25,6 +25,14 @@ Two index policies are provided: ``fixed`` keeps I, J for the whole run
 (fastest, minimal data access); ``resampled`` redraws them every iteration
 (more robust to an unlucky draw, slightly more work since each draw
 gathers fresh slabs and evaluates L_k on them).
+
+While the cutoff lies above every entry of the slab residual, a step
+thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
+L = CUR(D) bitwise, so after an idle first step :func:`solve` reads
+m = max |D - L_1| on the slabs from that step's residual pass and jumps to
+the first schedule index whose cutoff lies below m; every step in between
+would repeat step 1.  A
+``resampled`` step refits on a new draw, so it runs every index.
 """
 
 from __future__ import annotations
@@ -60,10 +68,11 @@ class SolverConfig:
     zeta0 = None means "use max |D|" at solve time: the ideal initial
     threshold is the max magnitude of the low-rank part, which is
     unobservable; max |D| dominates it and over-thresholding at step 0 is
-    safe because the cutoff decays.  gamma is the decay rate of the
-    threshold schedule; values in [0.6, 0.9] are recommended (larger is
-    slower but more robust).  c_rows / c_cols scale the sampled index
-    counts ceil(c * r * ln(n)).
+    safe because the cutoff decays.  In ``fixed`` mode an over-large zeta0
+    costs one reduction over the slabs, not iterations (see :func:`solve`).
+    gamma is the decay rate of the threshold schedule; values in
+    [0.6, 0.9] are recommended (larger is slower but more robust).
+    c_rows / c_cols scale the sampled index counts ceil(c * r * ln(n)).
     """
 
     rank: int
@@ -138,18 +147,25 @@ class SparseEstimate:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history of a solver run.
+    """History of a solver run, one list entry per executed step.
 
-    errors[i] and thresholds[i] belong to iteration i+1, so
-    thresholds[i] == gamma**i * zeta0 and errors[-1] is the final
+    steps[i] is the schedule index of the i-th executed step, so
+    thresholds[i] == gamma**steps[i] * zeta0, and errors[-1] is the final
     stopping statistic, the slab residual (D - S) - L of :func:`step`.
-    ``allocated`` records the allocation (8-byte scalar units) per
-    iteration as seen by the matcore meter: per slab, S, D - S and one
-    transient residual, plus the L evaluation (and, when resampling, the
-    new draw's gathers); no boolean arrays.  sampled_rows/sampled_cols
-    record |I| and |J| per iteration.
+    ``iterations`` is the schedule position reached: steps[-1] + 1 on
+    convergence, else max_iter.  In ``fixed`` mode the skipped indices of
+    an idle head (see :func:`solve`) have no entry; in ``resampled`` mode
+    steps == list(range(iterations)).  ``allocated`` records the
+    allocation (8-byte scalar units) per step as seen by the matcore
+    meter: per slab, S, D - S and one transient residual, plus the L
+    evaluation (and, when resampling, the new draw's gathers); no boolean
+    arrays.  sampled_rows/sampled_cols record |I| and |J| per step.  One
+    exception: when the sampled slabs are all zero, solve returns with
+    steps == [0], errors == [0.0], iterations == 0 and the other lists
+    empty.
     """
 
+    steps: list[int] = field(default_factory=list)
     errors: list[float] = field(default_factory=list)
     thresholds: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -250,6 +266,15 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
     taken from the D - S slabs that also serve as the new R and C.
     """
+    return _step(slabs, zeta, rank)[:3]
+
+
+def _step(
+    slabs: Slabs, zeta: float, rank: int, idle_max: bool = False
+) -> tuple[CurFactors, SparseEstimate, float, float | None]:
+    """:func:`step`, plus m = max |D - L_{k+1}| on the slabs when ``idle_max``
+    is set and S_{k+1} = 0 (else None).  With S = 0, D - S is D bitwise, so
+    m is read from the residual slabs that give e."""
     rows, cols = slabs.rows, slabs.cols
 
     # Phase I: sparse slab update, which also yields the D - S slabs.
@@ -265,9 +290,20 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
-    num = frob_norm(tracked(r_new - slabs.l_rows)) + frob_norm(tracked(c_new - slabs.l_cols))
-    e = num / slabs.den if slabs.den else 0.0
-    return cur, SparseEstimate(s_rows, s_cols, rows, cols), e
+    idle_max = idle_max and not (np.count_nonzero(s_rows) or np.count_nonzero(s_cols))
+    (f_rows, m_rows), (f_cols, m_cols) = (
+        _residual_norms(r_new, slabs.l_rows, idle_max),
+        _residual_norms(c_new, slabs.l_cols, idle_max),
+    )
+    e = (f_rows + f_cols) / slabs.den if slabs.den else 0.0
+    m = max(m_rows, m_cols) if idle_max else None
+    return cur, SparseEstimate(s_rows, s_cols, rows, cols), e, m
+
+
+def _residual_norms(d_minus_s: Matrix, l: Matrix, with_max: bool) -> tuple[float, float]:
+    """||(D - S) - L||_F and, if ``with_max``, its max |entry| (else 0)."""
+    res = tracked(d_minus_s - l)
+    return frob_norm(res), inf_norm(res) if with_max else 0.0
 
 
 def solve(
@@ -280,14 +316,21 @@ def solve(
     Returns the CUR factors of the low-rank estimate, the sparse estimate
     on the sampled slabs, and the iteration trace.  Halts when the sampled
     relative residual reaches ``config.eps`` or after ``config.max_iter``
-    iterations (``trace.converged`` is False in the latter case).
+    iterations (``trace.converged`` is False in the latter case).  In
+    ``fixed`` mode, when step 1 thresholds nothing, L_1 = CUR(D), and the
+    loop continues at the first schedule index whose cutoff lies below
+    m = max |D - L_1| on the slabs (capped at ``max_iter``): every step in
+    between would threshold nothing and repeat step 1 bitwise, so the
+    result equals that of running every index.
 
-    ``observer``, if given, is called after every iteration as
-    ``observer(k, zeta_k, cur, sparse, e_k)`` with k starting at 1.
+    ``observer``, if given, is called after every executed step as
+    ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
+    starting at 1; k jumps over skipped steps.
     """
-    D = matcore.require_finite(D)
-    if D.size == 0:
-        raise ValueError("D must be nonempty")
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.size == 0:
+        raise ValueError(f"D must be a nonempty 2-D matrix, got shape {D.shape}")
+    d_max = inf_norm(D)  # also rejects non-finite entries, before any gather
     n1, n2 = D.shape
     cfg = config
 
@@ -302,14 +345,16 @@ def solve(
     if slabs.den == 0.0:
         # Sampled slabs are identically zero: e_0 = 0, nothing to iterate.
         cur, sparse, _ = step(slabs, 0.0, cfg.rank)
+        trace.steps.append(0)
         trace.errors.append(0.0)
         trace.converged = True
         return cur, sparse, trace
     if cfg.zeta0 is None:
         # den > 0 guarantees max |D| > 0, so this is a valid threshold.
-        cfg = replace(cfg, zeta0=inf_norm(D))
+        cfg = replace(cfg, zeta0=d_max)
 
-    for k in range(cfg.max_iter):
+    k = 0
+    while k < cfg.max_iter:
         t0 = time.perf_counter()
         alloc0 = matcore.ALLOCATIONS.count
 
@@ -320,20 +365,28 @@ def solve(
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = threshold_at(cfg, k)
-        cur, sparse, e = step(slabs, zeta, cfg.rank)
+        cur, sparse, e, m = _step(slabs, zeta, cfg.rank, k == 0 and cfg.mode == "fixed")
+        k_next = k + 1
+        if m is not None and e > cfg.eps:
+            # Step 1 thresholded nothing, so L_1 = CUR(D); a step at any
+            # cutoff >= m would threshold nothing and rebuild L_1 bitwise.
+            while k_next < cfg.max_iter and threshold_at(cfg, k_next) >= m:
+                k_next += 1
 
+        trace.steps.append(k)
         trace.errors.append(e)
         trace.thresholds.append(zeta)
         trace.seconds.append(time.perf_counter() - t0)
         trace.allocated.append(matcore.ALLOCATIONS.count - alloc0)
         trace.sampled_rows.append(rows.size)
         trace.sampled_cols.append(cols.size)
-        trace.iterations = k + 1
+        trace.iterations = k_next
 
         if observer is not None:
             observer(k + 1, zeta, cur, sparse, e)
         if e <= cfg.eps:
             trace.converged = True
             break
+        k = k_next
 
     return cur, sparse, trace

@@ -146,7 +146,9 @@ def test_criterion_4_linear_convergence():
         c_rows=4, c_cols=4, seed=RngSeed(78),
     )
     _, _, trace = solve(inst.D, cfg)
-    e = np.array(trace.errors)
+    # e at every schedule index: a skipped index repeats the last executed step.
+    last = np.searchsorted(trace.steps, np.arange(trace.iterations), side="right") - 1
+    e = np.array(trace.errors)[last]
     slope = np.polyfit(np.arange(1, e.size + 1), np.log(e), 1)[0]
     ratios = e[1:] / e[:-1]
     med = float(np.median(ratios))
@@ -171,18 +173,20 @@ def test_criterion_5_scaling_exponent():
 
 
 def test_criterion_6_no_materialization():
-    # Transient allocation per iteration stays within 8 (|I|+|J|) n at
-    # n=4000 in both index modes; nothing n^2-sized is ever created.
+    # Transient allocation per executed step stays within 8 (|I|+|J|) n at
+    # n=4000 in both index modes; nothing n^2-sized is ever created.  In
+    # fixed mode max_iter reaches past the skipped head of the schedule.
     t0 = time.perf_counter()
     n = 4000
     D, l_inf = make_data_matrix(SyntheticSpec(n, 5, 0.1, RngSeed(5).derive(0, 0)))
     worst_ratio = 0.0
     for mode in ("fixed", "resampled"):
         cfg = SolverConfig(
-            rank=5, zeta0=2.0 * l_inf, mode=mode, max_iter=4,
+            rank=5, zeta0=2.0 * l_inf, mode=mode, max_iter=12,
             seed=RngSeed(5).derive(0, 1),
         )
         _, _, trace = solve(D, cfg)
+        assert len(trace.allocated) >= 4  # executed steps checked
         for alloc, isize, jsize in zip(
             trace.allocated, trace.sampled_rows, trace.sampled_cols
         ):
@@ -245,8 +249,8 @@ def test_criterion_8_threshold_schedule_and_support():
             inst.D, cfg, observer=lambda k, z, cur, sp, e: history.append((z, cur, sp))
         )
         exact_schedules &= all(
-            trace.thresholds[i] == cfg.gamma**i * zeta0
-            for i in range(trace.iterations)
+            zeta == cfg.gamma**j * zeta0
+            for zeta, j in zip(trace.thresholds, trace.steps, strict=True)
         )
         prev_dense = np.zeros_like(inst.L)
         holds, supp_ok = True, True

@@ -195,6 +195,23 @@ def test_solve_max_iter_cap_exit_two(tmp_path):
     assert len(rows) == 2  # header + one iteration
 
 
+def test_solve_corrupted_fixed_trace_has_one_row_per_executed_step(tmp_path):
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(22)))
+    p = tmp_path / "corrupted.bin"
+    write_matrix(inst.D, p)
+    out = tmp_path / "out"
+    code = main(["solve", str(p), "--rank", "5", "--out-dir", str(out)])
+    assert code in (0, 2)
+    _, _, trace = solve(inst.D, SolverConfig(rank=5, seed=RngSeed(0)))
+    rows = [r.split(",") for r in (out / "trace.csv").read_text().split()[1:]]
+    assert len(rows) == len(trace.errors)
+    ks = [int(r[0]) for r in rows]
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+    assert any(b - a > 1 for a, b in zip(ks, ks[1:]))
+    zeta0 = inf_norm(inst.D)
+    assert [float(r[1]) for r in rows] == [0.65 ** (k - 1) * zeta0 for k in ks]
+
+
 def test_solve_csv_format_outputs(tmp_path, clean_matrix):
     p, _ = clean_matrix
     out = tmp_path / "csvout"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from ircur import matcore
 from ircur.matcore import frob_norm, inf_norm, pinv_factor
-from ircur.sampling import IndexSet, RngSeed, sample_indices
+from ircur.sampling import IndexSet, RngSeed, sample_count, sample_indices
 from ircur.solver import (
     CurFactors,
     SolverConfig,
@@ -289,7 +291,7 @@ def test_solve_exact_rank_r_converges_fast():
 def test_solve_zero_matrix():
     cur, sparse, trace = solve(np.zeros((9, 7)), SolverConfig(rank=2))
     assert trace.converged
-    assert trace.errors == [0.0]
+    assert trace.errors == [0.0] and trace.steps == [0]
     assert trace.iterations == 0
     assert not cur_eval(cur).any()
 
@@ -341,7 +343,7 @@ def test_solve_iteration_invariants(mode):
     cfg = SolverConfig(
         rank=4, zeta0=2.0 * inf_norm(inst.L), mode=mode, seed=RngSeed(51)
     )
-    seen = []
+    seen, ks = [], []
 
     def observer(k, zeta, cur, sparse, e):
         inter_rows = sparse.row_values[:, sparse.cols.indices]
@@ -350,13 +352,94 @@ def test_solve_iteration_invariants(mode):
             np.array_equal(inter_rows, inter_cols)
             and cur.core_pinv.effective_rank <= 4
         )
+        ks.append(k)
 
     _, _, trace = solve(inst.D, cfg, observer=observer)
     assert seen and all(seen)
-    expected = [cfg.gamma**i * cfg.zeta0 for i in range(trace.iterations)]
+    assert ks == [j + 1 for j in trace.steps]
+    expected = [cfg.gamma**j * cfg.zeta0 for j in trace.steps]
     assert trace.thresholds == expected
     if trace.converged:
         assert trace.errors[-1] <= cfg.eps
+
+
+def every_index_solve(D, cfg):
+    """The solve loop with a step at every schedule index, built from the
+    public pieces: (cur, sparse, errors, sampled sizes, converged)."""
+    n1, n2 = D.shape
+    if cfg.zeta0 is None:
+        cfg = replace(cfg, zeta0=inf_norm(D))
+    gen = cfg.seed.generator()
+    m_rows = sample_count(n1, cfg.rank, cfg.c_rows)
+    m_cols = sample_count(n2, cfg.rank, cfg.c_cols)
+    slabs = sample_slabs(D, sample_indices(n1, m_rows, gen), sample_indices(n2, m_cols, gen))
+    errors, sizes = [], []
+    for k in range(cfg.max_iter):
+        if cfg.mode == "resampled" and k > 0:
+            rows = sample_indices(n1, m_rows, gen)
+            cols = sample_indices(n2, m_cols, gen)
+            slabs = sample_slabs(D, rows, cols, cur)
+        cur, sparse, e = step(slabs, threshold_at(cfg, k), cfg.rank)
+        errors.append(e)
+        sizes.append((slabs.rows.size, slabs.cols.size))
+        if e <= cfg.eps:
+            return cur, sparse, errors, sizes, True
+    return cur, sparse, errors, sizes, False
+
+
+def assert_matches_every_index_solve(D, cfg):
+    cur, sparse, trace = solve(D, cfg)
+    ref_cur, ref_sparse, errors, sizes, converged = every_index_solve(D, cfg)
+    np.testing.assert_array_equal(cur.C, ref_cur.C)
+    np.testing.assert_array_equal(cur.R, ref_cur.R)
+    np.testing.assert_array_equal(cur.core_pinv.sigma, ref_cur.core_pinv.sigma)
+    np.testing.assert_array_equal(sparse.row_values, ref_sparse.row_values)
+    np.testing.assert_array_equal(sparse.col_values, ref_sparse.col_values)
+    assert trace.iterations == len(errors)
+    assert trace.converged == converged
+    assert trace.errors == [errors[j] for j in trace.steps]
+    assert list(zip(trace.sampled_rows, trace.sampled_cols)) == [sizes[j] for j in trace.steps]
+    return trace
+
+
+CORRUPTED = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(30)))
+
+
+@pytest.mark.parametrize("zeta0", [2.0 * inf_norm(CORRUPTED.L), None])
+def test_fixed_solve_skips_idle_head_with_every_index_result(zeta0):
+    cfg = SolverConfig(rank=5, zeta0=zeta0, max_iter=60, seed=RngSeed(31))
+    trace = assert_matches_every_index_solve(CORRUPTED.D, cfg)
+    assert trace.converged
+    assert trace.steps[0] == 0 and trace.steps[1] > 1  # a skipped head
+    assert trace.steps[1:] == list(range(trace.steps[1], trace.iterations))
+
+
+def test_fixed_solve_max_iter_inside_skipped_head():
+    cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(CORRUPTED.L), seed=RngSeed(31))
+    first_active = solve(CORRUPTED.D, cfg)[2].steps[1]
+    max_iter = first_active - 1
+    assert max_iter > 1
+    trace = assert_matches_every_index_solve(CORRUPTED.D, replace(cfg, max_iter=max_iter))
+    assert trace.steps == [0]
+    assert trace.iterations == max_iter and not trace.converged
+
+
+def test_fixed_solve_clean_instance_has_no_skip():
+    inst = make_problem(SyntheticSpec(300, 5, 0.0, RngSeed(32)))
+    cfg = SolverConfig(rank=5, seed=RngSeed(33))
+    trace = assert_matches_every_index_solve(inst.D, cfg)
+    assert trace.converged and trace.steps == list(range(trace.iterations))
+
+
+def test_resampled_solve_runs_every_index():
+    cfg = SolverConfig(
+        rank=5, zeta0=2.0 * inf_norm(CORRUPTED.L), mode="resampled", max_iter=60,
+        seed=RngSeed(34),
+    )
+    trace = assert_matches_every_index_solve(CORRUPTED.D, cfg)
+    assert trace.iterations > 1
+    assert trace.steps == list(range(trace.iterations))
+    assert trace.thresholds == [threshold_at(cfg, j) for j in trace.steps]
 
 
 def test_solve_matches_public_phase_ops_on_first_iteration():
