@@ -3,8 +3,7 @@
 
 Runs the desk-scale grid (n=300, r=5, 50 trials per cell) for both index
 policies and writes phase_fixed.csv / phase_resampled.csv.  Pass --n 1000
-for the full-scale grid; set IRCUR_THREADS (with OPENBLAS_NUM_THREADS=1)
-to parallelize trials.
+for the full-scale grid.
 """
 
 import argparse

@@ -18,14 +18,7 @@ bench generate their instances, so zeta0 is 2*max|L| there and takes no
 --zeta0; phase-transition also sets c_rows = c_cols = c from --c-grid and
 takes no --c-rows/--c-cols.
 
-All commands are deterministic given --seed.  The IRCUR_THREADS
-environment variable sets the number of phase-transition trial threads
-(0 = serial, the default); parallel execution changes neither results nor
-row order.  Trial threads compete with BLAS threads, so pair it with
-OPENBLAS_NUM_THREADS=1 (or your BLAS's equivalent): on a 2-core OpenBLAS
-machine, a 16-trial n=300 grid command took 1.4 s serial, 1.9 s with
-IRCUR_THREADS=2 alone, and 0.8 s with OPENBLAS_NUM_THREADS=1 added
-(medians of 5 runs).
+All commands are deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -115,11 +108,16 @@ def _write_factors(args, **factors) -> Path:
     return out
 
 
+def _read_nonempty(path):
+    M = read_matrix(path)
+    if M.size == 0:
+        raise FormatError("empty matrix", path=path)
+    return M
+
+
 def cmd_solve(args) -> int:
     cfg = _config(args)
-    D = read_matrix(args.input)
-    if D.size == 0:
-        raise FormatError("empty matrix", path=args.input)
+    D = _read_nonempty(args.input)
     cur, _, trace = solve(D, cfg)
     factors = {"C": cur.C, "core": cur.core_pinv.dense(), "R": cur.R}
     if args.svd:
@@ -164,9 +162,12 @@ def cmd_video(args) -> int:
 
 
 def cmd_cur2svd(args) -> int:
-    C = read_matrix(args.c_file)
-    core = read_matrix(args.core_file)
-    R = read_matrix(args.r_file)
+    C, core, R = map(_read_nonempty, (args.c_file, args.core_file, args.r_file))
+    if C.shape[1] != core.shape[1] or R.shape[0] != core.shape[0]:
+        raise FormatError(
+            f"factor shapes do not chain: C {C.shape[0]}x{C.shape[1]}, core "
+            f"{core.shape[0]}x{core.shape[1]}, R {R.shape[0]}x{R.shape[1]}"
+        )
     fac = cur_to_svd(C, pinv_factor(core), R)
     _write_factors(args, W=fac.W, sigma=fac.sigma.reshape(-1, 1), V=fac.V)
     return EXIT_OK

@@ -11,9 +11,7 @@ The instances and configs are built (:func:`bench_specs`,
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,21 +43,14 @@ class ExperimentGrid:
             raise ValueError("trials must be >= 1")
 
 
-def harness_threads() -> int:
-    try:
-        return max(0, int(os.environ.get("IRCUR_THREADS", "0") or 0))
-    except ValueError:
-        return 0
-
-
 def phase_trials(
     grid: ExperimentGrid, cfg: SolverConfig
 ) -> list[tuple[int, SyntheticSpec, SolverConfig]]:
     """Every trial of the grid as (cell index, instance spec, solver config),
     cells in (c, alpha) grid order; each config sets ``c_rows = c_cols = c``.
 
-    Streams derive from (base seed, cell, trial), so execution order and
-    concurrency cannot alter any result.
+    Streams derive from (base seed, cell, trial), so execution order cannot
+    alter any result.
     """
     cells = [(c, alpha) for c in grid.c_values for alpha in grid.alpha_values]
     return [
@@ -70,34 +61,26 @@ def phase_trials(
     ]
 
 
-def _run_trial(trial: tuple[int, SyntheticSpec, SolverConfig]) -> bool:
-    _, spec, cfg = trial
-    inst = make_problem(spec)
-    cur, _, _ = solve(inst.D, replace(cfg, zeta0=2.0 * inf_norm(inst.L)))
-    return success_check(cur, inst.L)
-
-
 def run_phase_transition(
-    trials: list[tuple[int, SyntheticSpec, SolverConfig]], threads: int | None = None
+    trials: list[tuple[int, SyntheticSpec, SolverConfig]],
 ) -> list[tuple[float, float, int, int]]:
     """Success counts per cell of the ``trials`` that :func:`phase_trials`
-    builds, as (c, alpha, successes, trials) rows in grid order; each trial
+    builds, as (c, alpha, successes, trials) rows with cells in the order
+    they first appear (grid order for :func:`phase_trials`); each trial
     solves with ``zeta0 = 2 * max|L|`` of its instance."""
-    workers = harness_threads() if threads is None else threads
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, trials))
-    else:
-        outcomes = list(map(_run_trial, trials))
     rows: dict[int, tuple[float, float, int, int]] = {}
-    for (ci, spec, cfg), ok in zip(trials, outcomes):
+    for ci, spec, cfg in trials:
+        inst = make_problem(spec)
+        cur, _, _ = solve(inst.D, replace(cfg, zeta0=2.0 * inf_norm(inst.L)))
         c, alpha, wins, count = rows.get(ci, (cfg.c_rows, spec.alpha, 0, 0))
-        rows[ci] = (c, alpha, wins + ok, count + 1)
+        rows[ci] = (c, alpha, wins + success_check(cur, inst.L), count + 1)
     return list(rows.values())
 
 
 def bench_specs(sizes: list[int], alpha: float, cfg: SolverConfig) -> list[SyntheticSpec]:
     """The instances :func:`run_bench` solves, one per size, on seed streams of ``cfg``."""
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
     return [SyntheticSpec(n, cfg.rank, alpha, cfg.seed.derive(idx, 0))
             for idx, n in enumerate(sizes)]
 

@@ -203,6 +203,7 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError("not a binary PGM (missing P5)", path=path, offset=0)
     pos = 2
     fields: list[int] = []
+    dims_at = 0
     while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
@@ -213,9 +214,12 @@ def read_pgm(path) -> np.ndarray:
         m = re.match(rb"\d+", data[pos:])
         if not m:
             raise FormatError("malformed PGM header", path=path, offset=pos)
+        dims_at = dims_at or pos
         fields.append(int(m.group()))
         pos += m.end()
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise FormatError(f"zero frame size {w}x{h}", path=path, offset=dims_at)
     if maxval > 255 or maxval < 1:
         raise FormatError(f"unsupported maxval {maxval}", path=path, offset=pos)
     pos += 1  # single whitespace byte after maxval

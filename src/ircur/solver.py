@@ -65,11 +65,12 @@ Observer = Callable[[int, float, "CurFactors", "SparseEstimate", float], None]
 class SolverConfig:
     """All tunables of the solver.
 
-    zeta0 = None means "use max |D|" at solve time: the ideal initial
-    threshold is the max magnitude of the low-rank part, which is
-    unobservable; max |D| dominates it and over-thresholding at step 0 is
-    safe because the cutoff decays.  In ``fixed`` mode an over-large zeta0
-    costs one reduction over the slabs, not iterations (see :func:`solve`).
+    zeta0 = None means "use max |D|" (1 for an all-zero D) at solve time:
+    the ideal initial threshold is the max magnitude of the low-rank part,
+    which is unobservable; max |D| dominates it and over-thresholding at
+    step 0 is safe because the cutoff decays.  In ``fixed`` mode an
+    over-large zeta0 costs one reduction over the slabs, not iterations
+    (see :func:`solve`).
     gamma is the decay rate of the threshold schedule; values in
     [0.6, 0.9] are recommended (larger is slower but more robust).
     c_rows / c_cols scale the sampled index counts ceil(c * r * ln(n)).
@@ -159,10 +160,7 @@ class SolverTrace:
     allocation (8-byte scalar units) per step as seen by the matcore
     meter: per slab, S, D - S and one transient residual, plus the L
     evaluation (and, when resampling, the new draw's gathers); no boolean
-    arrays.  sampled_rows/sampled_cols record |I| and |J| per step.  One
-    exception: when the sampled slabs are all zero, solve returns with
-    steps == [0], errors == [0.0], iterations == 0 and the other lists
-    empty.
+    arrays.  sampled_rows/sampled_cols record |I| and |J| per step.
     """
 
     steps: list[int] = field(default_factory=list)
@@ -341,17 +339,12 @@ def solve(
     cols = sample_indices(n2, m_cols, gen)
     slabs = sample_slabs(D, rows, cols)
 
-    trace = SolverTrace()
-    if slabs.den == 0.0:
-        # Sampled slabs are identically zero: e_0 = 0, nothing to iterate.
-        cur, sparse, _ = step(slabs, 0.0, cfg.rank)
-        trace.steps.append(0)
-        trace.errors.append(0.0)
-        trace.converged = True
-        return cur, sparse, trace
     if cfg.zeta0 is None:
-        # den > 0 guarantees max |D| > 0, so this is a valid threshold.
-        cfg = replace(cfg, zeta0=d_max)
+        # max |D| is 0 only for an all-zero D, where no cutoff thresholds
+        # anything, so any positive zeta0 gives the same result there.
+        cfg = replace(cfg, zeta0=d_max or 1.0)
+
+    trace = SolverTrace()
 
     k = 0
     while k < cfg.max_iter:

@@ -5,9 +5,7 @@ import pytest
 
 from ircur import cli, experiments
 from ircur.cli import main
-from ircur.experiments import (
-    ExperimentGrid, harness_threads, phase_trials, run_phase_transition,
-)
+from ircur.experiments import ExperimentGrid, phase_trials, run_phase_transition
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import FrameSequence, read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
@@ -123,6 +121,7 @@ def test_flags_an_experiment_sets_itself_are_rejected(argv, capsys):
     ["phase-transition", "--c-grid", "0"],
     ["solve", "{matrix}", "--c-rows", "nan"],
     ["solve", "{matrix}", "--c-cols", "inf"],
+    ["bench", "--sizes", ""],
 ])
 def test_out_of_range_flag_value_is_a_usage_error(argv, clean_matrix, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -251,6 +250,27 @@ def test_cur2svd_command(tmp_path, clean_matrix):
     assert frob_norm((W * sigma) @ V.T - L) <= 1e-6 * frob_norm(L)
 
 
+def single_error_line(err):
+    return err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("shapes", [
+    {"C": (6, 3), "core": (4, 4), "R": (3, 6)},
+    {"C": (6, 3), "core": (0, 0), "R": (3, 6)},
+])
+def test_cur2svd_bad_factor_files_exit_one(tmp_path, shapes, capsys):
+    paths = {}
+    for name, shape in shapes.items():
+        paths[name] = tmp_path / f"{name}.bin"
+        write_matrix(np.ones(shape), paths[name])
+    code = main([
+        "cur2svd", "--c-file", str(paths["C"]), "--core-file", str(paths["core"]),
+        "--r-file", str(paths["R"]), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert single_error_line(capsys.readouterr().err)
+
+
 def test_phase_transition_csv_deterministic(tmp_path):
     args = [
         "phase-transition", "--n", "60", "--rank", "2", "--trials", "3",
@@ -276,25 +296,13 @@ def test_phase_transition_clean_column_always_succeeds(tmp_path):
     assert all(wins == trials for _, _, wins, trials in rows)
 
 
-def test_phase_transition_parallel_matches_serial(monkeypatch):
+def test_phase_transition_rows_do_not_depend_on_trial_order():
     grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0, 0.2), trials=3, n=50)
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=30, seed=RngSeed(9))
     trials = phase_trials(grid, cfg)
-    serial = run_phase_transition(trials, threads=0)
-    threaded = run_phase_transition(trials, threads=4)
-    assert serial == threaded
-    monkeypatch.setenv("IRCUR_THREADS", "2")
-    from_env = run_phase_transition(trials)
-    assert from_env == serial
-
-
-def test_harness_threads_env(monkeypatch):
-    monkeypatch.delenv("IRCUR_THREADS", raising=False)
-    assert harness_threads() == 0
-    monkeypatch.setenv("IRCUR_THREADS", "3")
-    assert harness_threads() == 3
-    monkeypatch.setenv("IRCUR_THREADS", "junk")
-    assert harness_threads() == 0
+    forward = run_phase_transition(trials)
+    assert len(forward) == 4
+    assert sorted(run_phase_transition(trials[::-1])) == sorted(forward)
 
 
 def test_bench_single_size(tmp_path):
@@ -345,6 +353,17 @@ def test_video_inconsistent_frames_exit_one(tmp_path):
     write_pgm(np.zeros((8, 8), dtype=np.uint8), d / "a.pgm")
     write_pgm(np.zeros((9, 8), dtype=np.uint8), d / "b.pgm")
     assert main(["video", str(d), "--out-dir", str(tmp_path / "o")]) == 1
+
+
+def test_video_zero_size_frames_exit_one(tmp_path, capsys):
+    d = tmp_path / "empty_frames"
+    d.mkdir()
+    for name in ("a.pgm", "b.pgm"):
+        (d / name).write_bytes(b"P5\n0 0\n255\n")
+    assert main(["video", str(d), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert single_error_line(err)
+    assert "zero frame size 0x0 (byte offset 3)" in err
 
 
 def test_experiment_grid_validation():

@@ -289,10 +289,14 @@ def test_solve_exact_rank_r_converges_fast():
 
 
 def test_solve_zero_matrix():
-    cur, sparse, trace = solve(np.zeros((9, 7)), SolverConfig(rank=2))
+    calls = []
+    cur, sparse, trace = solve(
+        np.zeros((9, 7)), SolverConfig(rank=2), observer=lambda *a: calls.append(a[:2])
+    )
     assert trace.converged
     assert trace.errors == [0.0] and trace.steps == [0]
-    assert trace.iterations == 0
+    assert trace.iterations == 1 and len(trace.thresholds) == 1
+    assert calls == [(1, trace.thresholds[0])]
     assert not cur_eval(cur).any()
 
 
@@ -429,6 +433,22 @@ def test_fixed_solve_clean_instance_has_no_skip():
     cfg = SolverConfig(rank=5, seed=RngSeed(33))
     trace = assert_matches_every_index_solve(inst.D, cfg)
     assert trace.converged and trace.steps == list(range(trace.iterations))
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_zero_slabs_of_a_nonzero_matrix(mode):
+    # The only nonzero entry lies outside the first draw, so the sampled
+    # slabs are all zero (den = 0) while max |D| > 0.
+    cfg = SolverConfig(rank=2, mode=mode, seed=RngSeed(35))
+    gen = cfg.seed.generator()
+    rows = sample_indices(200, sample_count(200, 2, cfg.c_rows), gen)
+    cols = sample_indices(150, sample_count(150, 2, cfg.c_cols), gen)
+    D = np.zeros((200, 150))
+    D[np.setdiff1d(np.arange(200), rows.indices)[0],
+      np.setdiff1d(np.arange(150), cols.indices)[0]] = 3.0
+    trace = assert_matches_every_index_solve(D, cfg)
+    assert trace.converged and trace.steps == [0] and trace.errors == [0.0]
+    assert trace.thresholds == [3.0]
 
 
 def test_resampled_solve_runs_every_index():
