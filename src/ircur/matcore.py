@@ -1,7 +1,12 @@
 """Dense linear-algebra kernels: norms, submatrix extraction, thin QR,
 truncated SVD, and pseudoinverse application.
 
-This is the only module that performs factorizations.  All kernels are pure
+This is the only module that performs factorizations.  The rank-r core
+truncation computes only the triplets it keeps, by a randomized range
+finder with power iteration (Halko, Martinsson and Tropp, *Finding
+structure with randomness*, SIAM Review 2011) whose test matrix comes from
+a fixed seed, so every kernel stays deterministic; matrices too small for
+it to pay off use an exact dense SVD.  All kernels are pure
 functions of their inputs; matrices are treated as immutable carriers
 (2-D float64 ndarrays).  Every kernel that materializes a new array reports
 it to the module-level :data:`ALLOCATIONS` meter so that callers can assert
@@ -20,6 +25,19 @@ Matrix = np.ndarray
 # Relative singular-value cutoff below which pseudoinversion treats a
 # singular value as zero.  Machine-precision guard.
 PINV_CUTOFF = 1e-12
+
+# Randomized range finder of truncated_svd: oversampling columns beyond the
+# rank, power steps, and the seed of its Gaussian test matrix.  It is used
+# when 2 * (r + RANGE_OVERSAMPLE) <= min(M.shape).  Per call at r = 5 on
+# 2-core OpenBLAS, exact SVD against range finder: 0.066 against 0.066 ms
+# at 25 x 25, 0.077 against 0.110 at 30 x 30, 0.148 against 0.125 at
+# 40 x 40, 1.36 against 0.18 at 100 x 100 and 4.6 against 0.30 at 179 x 179.
+RANGE_OVERSAMPLE = 10
+RANGE_POWER_STEPS = 2
+RANGE_SEED = 0
+
+# Rows of about this many bytes per block of inf_norm's one-pass scan.
+SCAN_BLOCK_BYTES = 512 * 1024
 
 
 class AllocationMeter:
@@ -71,16 +89,24 @@ def frob_norm(M: Matrix) -> float:
 
 
 def inf_norm(M: Matrix) -> float:
-    """Maximum absolute entry, from one min/max pair (no temporary of M's size).
+    """Maximum absolute entry, from one pass over M (no temporary of M's size).
 
-    NaN and +-Inf propagate through min and max, so a non-finite entry
-    raises ValueError.
+    M is scanned in blocks of leading-axis rows (of the transpose for an
+    F-order M) of about ``SCAN_BLOCK_BYTES``, taking each block's max and
+    min while it is in cache.  NaN and +-Inf propagate through a block's
+    min and max, so a non-finite entry raises ValueError.
     """
     if M.size == 0:
         return 0.0
-    hi, lo = np.max(M), np.min(M)
-    if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise ValueError("matrix contains non-finite entries")
+    A = M.T if M.flags.f_contiguous and not M.flags.c_contiguous else M
+    step = max(1, SCAN_BLOCK_BYTES // (A.itemsize * (A.size // A.shape[0])))
+    hi, lo = -np.inf, np.inf
+    for start in range(0, A.shape[0], step):
+        block = A[start:start + step]
+        b_hi, b_lo = np.max(block), np.min(block)
+        if not (np.isfinite(b_hi) and np.isfinite(b_lo)):
+            raise ValueError("matrix contains non-finite entries")
+        hi, lo = max(hi, b_hi), min(lo, b_lo)
     return float(max(hi, -lo))
 
 
@@ -119,17 +145,36 @@ class SvdFactors:
 
 
 def truncated_svd(M: Matrix, r: int) -> SvdFactors:
-    """Best rank-r approximation factors of M via an exact dense SVD.
+    """Best rank-r approximation factors of M.
 
     Returns min(r, min(M.shape)) singular triplets; if rank(M) < r the
-    trailing sigma entries are (numerically) zero.
+    trailing sigma entries are (numerically) zero.  When
+    2 * (r + RANGE_OVERSAMPLE) <= min(M.shape), only those triplets are
+    computed: Y = M Omega for a fixed-seed Gaussian Omega with
+    r + RANGE_OVERSAMPLE columns, then RANGE_POWER_STEPS times
+    Y = M (M^T orth(Y)), and the SVD of the small Q^T M with Q = orth(Y)
+    rotates into W = Q w.  The error in the kept subspace shrinks like
+    (sigma_{r+RANGE_OVERSAMPLE+1} / sigma_r)^(2 RANGE_POWER_STEPS + 1).
+    Smaller matrices (and every ``pinv_factor``, where r = min(M.shape))
+    take an exact dense SVD.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    tracked(U), tracked(s), tracked(Vt)
-    k = min(r, s.size)
-    return SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T)
+    width = r + RANGE_OVERSAMPLE
+    if 2 * width > min(M.shape):
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        tracked(U), tracked(s), tracked(Vt)
+        k = min(r, s.size)
+        return SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T)
+    omega = np.random.default_rng(RANGE_SEED).standard_normal((M.shape[1], width))
+    Y = tracked(M @ tracked(omega))
+    for _ in range(RANGE_POWER_STEPS):
+        Q = tracked(np.linalg.qr(Y)[0])
+        Y = tracked(M @ tracked(M.T @ Q))
+    Q = tracked(np.linalg.qr(Y)[0])
+    w, s, Vt = np.linalg.svd(tracked(Q.T @ M), full_matrices=False)
+    tracked(w), tracked(s), tracked(Vt)
+    return SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T)
 
 
 @dataclass

@@ -250,6 +250,28 @@ def test_cur2svd_command(tmp_path, clean_matrix):
     assert frob_norm((W * sigma) @ V.T - L) <= 1e-6 * frob_norm(L)
 
 
+def test_wide_matrix_svd_through_solve_and_cur2svd(tmp_path):
+    # |J| exceeds the 3 rows of D, so C is wide; the conversion factors are
+    # n x k at the core's kept rank and stay tall.
+    g = np.random.default_rng(31)
+    L = np.outer(g.standard_normal(3), g.standard_normal(200))
+    p = tmp_path / "wide.bin"
+    write_matrix(L, p)
+    out = tmp_path / "solved"
+    assert main(["solve", str(p), "--rank", "1", "--svd", "--out-dir", str(out)]) == 0
+    conv = tmp_path / "converted"
+    assert main([
+        "cur2svd", "--c-file", str(out / "C.bin"), "--core-file", str(out / "core.bin"),
+        "--r-file", str(out / "R.bin"), "--out-dir", str(conv),
+    ]) == 0
+    for d in (out, conv):
+        W = read_matrix(d / "W.bin")
+        sigma = read_matrix(d / "sigma.bin").ravel()
+        V = read_matrix(d / "V.bin")
+        assert frob_norm((W * sigma) @ V.T - L) <= 1e-10 * frob_norm(L)
+        assert frob_norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12
+
+
 def single_error_line(err):
     return err.startswith("error: ") and len(err.splitlines()) == 1
 

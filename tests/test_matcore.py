@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ircur import matcore
 from ircur.matcore import (
+    PinvFactor,
+    SvdFactors,
     frob_norm,
     inf_norm,
     pinv_factor,
@@ -68,6 +70,33 @@ def test_inf_norm_matches_scan_oracle():
     M = rng.standard_normal((11, 4))
     oracle = max(abs(float(x)) for x in M.ravel())
     assert inf_norm(M) == oracle
+
+
+def multi_block(order):
+    M = np.asarray(rng.standard_normal((600, 400)), order=order)
+    assert M.nbytes > 3 * matcore.SCAN_BLOCK_BYTES
+    return M
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inf_norm_multi_block_is_bitwise_max(order):
+    M = multi_block(order)
+    for A in (M, M[::3, 1::2]):
+        assert inf_norm(A) == np.max(np.abs(A))
+    M[-1, -1] = -50.0  # the extreme entry in the last block, and negative
+    assert inf_norm(M) == 50.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 2), (-2, -3)], ids=["first_block", "last_block"])
+def test_inf_norm_rejects_non_finite_in_any_block(order, bad, where):
+    # The scan runs over rows of a C-order M and columns of an F-order M,
+    # so (1, 2) lies in the first block and (-2, -3) in the last.
+    M = multi_block(order)
+    M[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        inf_norm(M)
 
 
 def test_submatrix_identity_slicing():
@@ -139,6 +168,54 @@ def test_truncated_svd_best_approximation():
 def test_truncated_svd_rejects_bad_rank():
     with pytest.raises(ValueError):
         truncated_svd(np.eye(2), 0)
+
+
+def exact_truncated_svd(M, r):
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return SvdFactors(W=U[:, :r], sigma=s[:r], V=Vt[:r].T)
+
+
+def low_rank_core(shape, r, outlier_rate=0.0, outlier_size=0.0):
+    M = rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
+    hit = rng.random(shape) < outlier_rate
+    return M + np.where(hit, rng.uniform(-outlier_size, outlier_size, shape), 0.0)
+
+
+def test_truncated_svd_range_finder_matches_exact_svd():
+    # Rank 5 plus 10% sparse outliers: sigma_5 / sigma_6 is about 300 here.
+    M = low_rank_core((180, 180), 5, outlier_rate=0.1, outlier_size=0.1)
+    assert 2 * (5 + matcore.RANGE_OVERSAMPLE) <= 180
+    fac, exact = truncated_svd(M, 5), exact_truncated_svd(M, 5)
+    H = exact.dense()
+    assert frob_norm(fac.dense() - H) <= 1e-10 * frob_norm(H)
+    np.testing.assert_allclose(fac.sigma, exact.sigma, rtol=1e-10)
+    assert frob_norm(fac.W.T @ fac.W - np.eye(5)) <= 1e-12
+    assert frob_norm(fac.V.T @ fac.V - np.eye(5)) <= 1e-12
+
+
+@pytest.mark.parametrize("M", [np.zeros((60, 50)), low_rank_core((60, 50), 3)],
+                         ids=["zero", "rank3"])
+def test_truncated_svd_range_finder_keeps_effective_rank(M):
+    # PINV_CUTOFF must zero the same trailing values as on the exact path.
+    fast = PinvFactor.from_svd(truncated_svd(M, 5))
+    exact = PinvFactor.from_svd(exact_truncated_svd(M, 5))
+    assert fast.sigma.size == exact.sigma.size == 5
+    assert fast.effective_rank == exact.effective_rank == np.linalg.matrix_rank(M)
+
+
+def test_truncated_svd_is_deterministic():
+    M = low_rank_core((120, 90), 5, outlier_rate=0.05, outlier_size=1.0)
+    a, b = truncated_svd(M, 5), truncated_svd(M, 5)
+    for x, y in ((a.W, b.W), (a.sigma, b.sigma), (a.V, b.V)):
+        assert np.array_equal(x, y)
+
+
+def test_truncated_svd_small_core_is_exact_svd():
+    # 2 * (5 + RANGE_OVERSAMPLE) > 25: below the size rule, LAPACK decides.
+    M = low_rank_core((25, 27), 5, outlier_rate=0.1, outlier_size=1.0)
+    fac, exact = truncated_svd(M, 5), exact_truncated_svd(M, 5)
+    for x, y in ((fac.W, exact.W), (fac.sigma, exact.sigma), (fac.V, exact.V)):
+        assert np.array_equal(x, y)
 
 
 def test_pinv_diagonal():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ircur import matcore
-from ircur.matcore import frob_norm, inf_norm, pinv_factor
+from ircur import matcore, solver
+from ircur.matcore import SvdFactors, frob_norm, inf_norm, pinv_factor
 from ircur.sampling import IndexSet, RngSeed, sample_count, sample_indices
 from ircur.solver import (
     CurFactors,
@@ -19,7 +19,7 @@ from ircur.solver import (
     step,
     threshold_at,
 )
-from ircur.synth import SyntheticSpec, gen_low_rank, make_problem
+from ircur.synth import SyntheticSpec, gen_low_rank, make_problem, success_check
 
 rng = np.random.default_rng(7)
 
@@ -510,6 +510,33 @@ def test_solve_registers_no_boolean_arrays(mode, monkeypatch):
     _, sparse, trace = solve(inst.D, cfg)
     assert trace.iterations > 1 and sparse.row_values.any()
     assert dtypes and np.dtype(bool) not in dtypes
+
+
+def exact_truncated_svd(M, r):
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return SvdFactors(W=U[:, :r], sigma=s[:r], V=Vt[:r].T)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+@pytest.mark.parametrize("c,alpha", [(2.0, 0.2), (4.0, 0.3)])
+def test_range_finder_core_matches_exact_svd_outcomes(mode, c, alpha, monkeypatch):
+    # Cells at the edge of recovery, so both outcomes occur; at n=300 every
+    # core is large enough for the range finder.
+    outcomes = {}
+    for kernel in ("range_finder", "exact"):
+        if kernel == "exact":
+            monkeypatch.setattr(solver, "truncated_svd", exact_truncated_svd)
+        outcomes[kernel] = []
+        for seed in range(4):
+            inst = make_problem(SyntheticSpec(300, 5, alpha, RngSeed(seed, 90)))
+            cfg = SolverConfig(rank=5, c_rows=c, c_cols=c, mode=mode, max_iter=60,
+                               zeta0=2.0 * inf_norm(inst.L), seed=RngSeed(seed, 91))
+            cur, _, trace = solve(inst.D, cfg)
+            assert min(trace.sampled_rows) >= 2 * (5 + matcore.RANGE_OVERSAMPLE)
+            outcomes[kernel].append((trace.iterations, trace.converged,
+                                     success_check(cur, inst.L),
+                                     cur.core_pinv.effective_rank))
+    assert outcomes["range_finder"] == outcomes["exact"]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
