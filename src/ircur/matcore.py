@@ -16,6 +16,7 @@ memory bounds on top of these primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -36,8 +37,13 @@ RANGE_OVERSAMPLE = 10
 RANGE_POWER_STEPS = 2
 RANGE_SEED = 0
 
-# Rows of about this many bytes per block of inf_norm's one-pass scan.
-SCAN_BLOCK_BYTES = 512 * 1024
+# A Frobenius norm at or above this has normal squares in its largest
+# entries; below it frob_norm rescales (entries near 1e-160 lose bits).
+FROB_RESCALE_BELOW = 1e-140
+
+# Bytes of each operand per block of a blocked pass over a slab or matrix
+# (see blocks): four operands of this size stay in a 2 MB L2 cache.
+BLOCK_BYTES = 256 * 1024
 
 
 class AllocationMeter:
@@ -82,27 +88,47 @@ def require_finite(M: Matrix) -> Matrix:
 
 
 def frob_norm(M: Matrix) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries."""
+    """Frobenius norm: sqrt of the sum of squared entries.
+
+    Below ``FROB_RESCALE_BELOW`` the squares of M's largest entries may be
+    subnormal or zero, so the norm is taken again from M / max|M|.
+    """
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, "fro"))
+    f = float(np.linalg.norm(M, "fro"))
+    if f < FROB_RESCALE_BELOW:
+        m = inf_norm(M)
+        if m > 0.0:
+            f = m * float(np.linalg.norm(M / m, "fro"))
+    return f
+
+
+def blocks(*arrays: Matrix) -> Iterator[tuple[Matrix, ...]]:
+    """Matching views of the equally shaped ``arrays``, cut into blocks of
+    about ``BLOCK_BYTES`` of the first one along the leading axis of its
+    memory order (rows, or columns for an F-order array), so that a pass
+    doing several operations per block reads each block from cache."""
+    if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
+        arrays = tuple(A.T for A in arrays)
+    first = arrays[0]
+    if first.size == 0:
+        return
+    step = max(1, BLOCK_BYTES // (first.itemsize * (first.size // first.shape[0])))
+    for start in range(0, first.shape[0], step):
+        yield tuple(A[start:start + step] for A in arrays)
 
 
 def inf_norm(M: Matrix) -> float:
     """Maximum absolute entry, from one pass over M (no temporary of M's size).
 
-    M is scanned in blocks of leading-axis rows (of the transpose for an
-    F-order M) of about ``SCAN_BLOCK_BYTES``, taking each block's max and
-    min while it is in cache.  NaN and +-Inf propagate through a block's
-    min and max, so a non-finite entry raises ValueError.
+    Each of M's :func:`blocks` gives its max and min while it is in cache.
+    NaN and +-Inf propagate through a block's min and max, so a non-finite
+    entry raises ValueError.
     """
     if M.size == 0:
         return 0.0
-    A = M.T if M.flags.f_contiguous and not M.flags.c_contiguous else M
-    step = max(1, SCAN_BLOCK_BYTES // (A.itemsize * (A.size // A.shape[0])))
     hi, lo = -np.inf, np.inf
-    for start in range(0, A.shape[0], step):
-        block = A[start:start + step]
+    for (block,) in blocks(M):
         b_hi, b_lo = np.max(block), np.min(block)
         if not (np.isfinite(b_hi) and np.isfinite(b_lo)):
             raise ValueError("matrix contains non-finite entries")

@@ -179,15 +179,21 @@ def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> tuple[Matrix, Matrix]:
 
     The keep mask is formed as 0.0/1.0 floats in the buffer that then
     receives D - S, so no boolean array of the slab's size is allocated.
-    Zeroed entries of S may be -0.0.
+    Both outputs take D's memory order, and the five operations run block
+    by block (:func:`matcore.blocks`) while a block is in cache.  Zeroed
+    entries of S may be -0.0.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    S = tracked(D - L)
-    keep = tracked(np.abs(S))
-    np.greater(keep, zeta, out=keep)
-    S *= keep
-    return S, np.subtract(D, S, out=keep)
+    S = tracked(np.empty_like(D))
+    rest = tracked(np.empty_like(D))
+    for d, l, s, keep in matcore.blocks(D, L, S, rest):
+        np.subtract(d, l, out=s)
+        np.abs(s, out=keep)
+        np.greater(keep, zeta, out=keep)
+        s *= keep
+        np.subtract(d, s, out=keep)
+    return S, rest
 
 
 def threshold_at(config: SolverConfig, k: int) -> float:
@@ -242,15 +248,21 @@ class Slabs:
 def sample_slabs(
     D: Matrix, rows: IndexSet, cols: IndexSet, cur: CurFactors | None = None
 ) -> Slabs:
-    """Gather D on rows/cols and evaluate ``cur`` there (L = 0 if None)."""
+    """Gather D on rows/cols and evaluate ``cur`` there (L = 0 if None).
+
+    Each L slab takes the memory order of its D slab (a column gather is
+    F-order), so the slab passes of :func:`step` read both contiguously.
+    """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
     den = frob_norm(d_rows) + frob_norm(d_cols)
     if cur is None:
-        l_rows = tracked(np.zeros((rows.size, D.shape[1])))
-        l_cols = tracked(np.zeros((D.shape[0], cols.size)))
+        l_rows = tracked(np.zeros_like(d_rows))
+        l_cols = tracked(np.zeros_like(d_cols))
     else:
-        l_rows, l_cols = _eval_slabs(cur, rows, cols)
+        l_rows = tracked(np.empty_like(d_rows))
+        l_cols = tracked(np.empty_like(d_cols))
+        _eval_slabs(cur, rows, cols, l_rows, l_cols)
     return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 

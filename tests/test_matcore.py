@@ -55,6 +55,15 @@ def test_frob_norm_three_four_five():
     assert frob_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0, abs=0)
 
 
+def test_frob_norm_tiny_entries_keep_their_precision():
+    # Squared, these entries are subnormal or underflow to zero.
+    for tiny in (6.350034439369157e-161, 1e-170, 1e-300):
+        M = np.array([[0.0, 0.0], [tiny, -tiny]])
+        assert frob_norm(M) == pytest.approx(tiny * np.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert frob_norm(2.0 * M) == pytest.approx(2.0 * frob_norm(M), rel=1e-15, abs=0.0)
+    assert frob_norm(np.zeros((3, 2))) == 0.0
+
+
 def test_frob_norm_matches_summation_oracle():
     M = rng.standard_normal((7, 5))
     oracle = sum(float(x) ** 2 for x in M.ravel()) ** 0.5
@@ -74,7 +83,7 @@ def test_inf_norm_matches_scan_oracle():
 
 def multi_block(order):
     M = np.asarray(rng.standard_normal((600, 400)), order=order)
-    assert M.nbytes > 3 * matcore.SCAN_BLOCK_BYTES
+    assert M.nbytes > 3 * matcore.BLOCK_BYTES
     return M
 
 

@@ -79,6 +79,33 @@ def test_hard_threshold_pointwise_definition(D, L, zeta):
         assert o == x - s
 
 
+@pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
+def test_hard_threshold_multi_block_matches_whole_slab_formula(orders):
+    # The slab spans several blocks; any mix of memory orders gives the
+    # whole-array result bitwise, in D's order.
+    D = np.asarray(rng.standard_normal((700, 150)), order=orders[0])
+    L = np.asarray(rng.standard_normal((700, 150)), order=orders[1])
+    assert D.nbytes > 3 * matcore.BLOCK_BYTES
+    S, rest = hard_threshold(D, L, 1.0)
+    diff = D - L
+    expected = np.where(np.abs(diff) > 1.0, diff, 0.0)
+    assert np.array_equal(S, expected) and np.array_equal(rest, D - expected)
+    assert S.flags.f_contiguous == rest.flags.f_contiguous == (orders[0] == "F")
+
+
+def test_sample_slabs_l_slabs_follow_d_slab_order():
+    inst = make_problem(SyntheticSpec(60, 3, 0.1, RngSeed(65)))
+    rows = sample_indices(60, 20, RngSeed(66))
+    cols = sample_indices(60, 20, RngSeed(67))
+    for D in (inst.D, np.asfortranarray(inst.D)):
+        slabs = sample_slabs(D, rows, cols)
+        cur, _, _ = step(slabs, inf_norm(D), 3)
+        for s in (slabs, sample_slabs(D, rows, cols, cur)):
+            assert s.l_rows.flags.f_contiguous == s.d_rows.flags.f_contiguous
+            assert s.l_cols.flags.f_contiguous == s.d_cols.flags.f_contiguous
+        assert slabs.d_cols.flags.f_contiguous  # a column gather
+
+
 def test_threshold_at_examples():
     cfg = SolverConfig(rank=1, zeta0=1.0, gamma=0.65)
     assert threshold_at(cfg, 0) == 1.0
