@@ -15,6 +15,7 @@ memory bounds on top of these primitives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,7 +39,7 @@ RANGE_POWER_STEPS = 2
 RANGE_SEED = 0
 
 # A Frobenius norm at or above this has normal squares in its largest
-# entries; below it frob_norm rescales (entries near 1e-160 lose bits).
+# entries; below it diff_norms rescales (entries near 1e-160 lose bits).
 FROB_RESCALE_BELOW = 1e-140
 
 # Bytes of each operand per block of a blocked pass over a slab or matrix
@@ -88,34 +89,70 @@ def require_finite(M: Matrix) -> Matrix:
 
 
 def frob_norm(M: Matrix) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries.
+    """Frobenius norm: sqrt of the sum of squared entries (see :func:`diff_norms`)."""
+    return diff_norms(M)[0]
 
-    Below ``FROB_RESCALE_BELOW`` the squares of M's largest entries may be
-    subnormal or zero, so the norm is taken again from M / max|M|.
+
+def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tuple[float, float]:
+    """||A - B||_F and, if ``with_max``, max |A - B| (else 0.0); B = None means 0.
+
+    One pass over A's :func:`blocks`: each block of A - B goes to a
+    block-sized buffer and its squares are summed there by ``np.einsum``,
+    which calls no BLAS (a threaded ``ddot`` can stall for milliseconds on a
+    busy machine).  So no temporary of A's size is allocated.  Below
+    ``FROB_RESCALE_BELOW`` the squares of the largest entries may be
+    subnormal or zero, so the norm is taken again from (A - B) / max|A - B|.
     """
-    if M.size == 0:
-        return 0.0
-    f = float(np.linalg.norm(M, "fro"))
+    if A.size == 0:
+        return 0.0, 0.0
+    total, peak = _block_sums(A, B, 1.0, with_max)
+    f = math.sqrt(total)
     if f < FROB_RESCALE_BELOW:
-        m = inf_norm(M)
-        if m > 0.0:
-            f = m * float(np.linalg.norm(M / m, "fro"))
-    return f
+        if not with_max:
+            peak = _block_sums(A, B, 1.0, True)[1]
+        if peak > 0.0:
+            f = peak * math.sqrt(_block_sums(A, B, peak, False)[0])
+    return f, peak
 
 
-def blocks(*arrays: Matrix) -> Iterator[tuple[Matrix, ...]]:
+def _block_sums(A: Matrix, B: Matrix | None, scale: float, with_max: bool) -> tuple[float, float]:
+    # Sum of squares of (A - B) / scale, and max |A - B| if with_max.
+    total, peak = 0.0, 0.0
+    arrays = (A,) if B is None else (A, B)
+    for blk in blocks(*arrays, buffer=B is not None or scale != 1.0):
+        t = blk[0]
+        if B is not None:
+            t = np.subtract(t, blk[1], out=blk[-1])
+        if scale != 1.0:
+            t = np.divide(t, scale, out=blk[-1])
+        total += float(np.einsum("ij,ij->", t, t))
+        if with_max:
+            peak = max(peak, float(np.max(t)), -float(np.min(t)))
+    return total, peak
+
+
+def blocks(*arrays: Matrix, buffer: bool = False) -> Iterator[tuple[Matrix, ...]]:
     """Matching views of the equally shaped ``arrays``, cut into blocks of
     about ``BLOCK_BYTES`` of the first one along the leading axis of its
     memory order (rows, or columns for an F-order array), so that a pass
-    doing several operations per block reads each block from cache."""
+    doing several operations per block reads each block from cache.
+
+    With ``buffer``, each tuple ends with one more view, shaped like the
+    block, into a single block-sized float64 array that every block reuses.
+    """
     if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
         arrays = tuple(A.T for A in arrays)
     first = arrays[0]
     if first.size == 0:
         return
-    step = max(1, BLOCK_BYTES // (first.itemsize * (first.size // first.shape[0])))
+    width = first.size // first.shape[0]
+    step = max(1, BLOCK_BYTES // (first.itemsize * width))
+    buf = tracked(np.empty(min(step, first.shape[0]) * width)) if buffer else None
     for start in range(0, first.shape[0], step):
-        yield tuple(A[start:start + step] for A in arrays)
+        views = tuple(A[start:start + step] for A in arrays)
+        if buffer:
+            views += (buf[: views[0].size].reshape(views[0].shape),)
+        yield views
 
 
 def inf_norm(M: Matrix) -> float:

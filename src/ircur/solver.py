@@ -6,16 +6,19 @@ on D and L_k restricted to a handful of sampled rows (I) and columns (J):
 
   Phase I   threshold the residual D - L_k on the sampled slabs to get
             S_{k+1}, with a geometrically decaying cutoff
-            zeta_k = gamma^(k-1) * zeta0 (:func:`hard_threshold`, which
-            also returns D - S_{k+1});
+            zeta_k = gamma^(k-1) * zeta0; :func:`hard_threshold` writes
+            only D - S_{k+1}, and S_{k+1} is recovered from it on demand;
   Phase II  rebuild L_{k+1} as a CUR decomposition of D - S_{k+1},
             rank-truncating only the small |I| x |J| core;
 
 then evaluates L_{k+1} on the same slabs for the stopping statistic, the
-relative slab residual (D - S_{k+1}) - L_{k+1}; iteration stops when it
-drops to ``eps``.  The D slabs are only read, so the two index policies
-below differ only in when I and J are drawn.  The full n x n estimates
-are never materialized.
+relative slab residual (D - S_{k+1}) - L_{k+1}, whose norm comes from one
+blocked pass (:func:`matcore.diff_norms`); iteration stops when it drops
+to ``eps``.  Per slab and step that is six slab-sized streams: the
+threshold reads D and L and writes D - S, the norm reads D - S and L, and
+the evaluation writes L.  The D slabs are only read, so the two index
+policies below differ only in when I and J are drawn.  The full n x n
+estimates are never materialized.
 
 L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
 (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
@@ -28,11 +31,12 @@ gathers fresh slabs and evaluates L_k on them).
 
 While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
-L = CUR(D) bitwise, so after an idle first step :func:`solve` reads
-m = max |D - L_1| on the slabs from that step's residual pass and jumps to
-the first schedule index whose cutoff lies below m; every step in between
-would repeat step 1.  A
-``resampled`` step refits on a new draw, so it runs every index.
+L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, so it is idle exactly
+when max |D| on the slabs is <= zeta0.  After an idle first step
+:func:`solve` reads m = max |D - L_1| on the slabs from that step's
+residual pass and jumps to the first schedule index whose cutoff lies
+below m; every step in between would repeat step 1.  A ``resampled``
+step refits on a new draw, so it runs every index.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from . import matcore
 from .matcore import (
     Matrix,
     PinvFactor,
+    diff_norms,
     frob_norm,
     inf_norm,
     submatrix,
@@ -133,17 +138,29 @@ class CurFactors:
 
 @dataclass
 class SparseEstimate:
-    """Sparse estimate stored only on the sampled slabs.
+    """Sparse estimate on the sampled slabs, held as the D slabs and the
+    D - S slabs that :func:`hard_threshold` returns.
 
-    row_values = S on rows I (|I| x n2); col_values = S on columns J
-    (n1 x |J|).  The (I, J) intersection block of the two views agrees
-    exactly.
+    row_values = S on rows I (|I| x n2) and col_values = S on columns J
+    (n1 x |J|) are computed as D - (D - S) on each access, so a caller that
+    never reads S never pays for it.  The (I, J) intersection block of the
+    two views agrees exactly.
     """
 
-    row_values: Matrix
-    col_values: Matrix
+    d_rows: Matrix
+    d_cols: Matrix
+    rest_rows: Matrix
+    rest_cols: Matrix
     rows: IndexSet
     cols: IndexSet
+
+    @property
+    def row_values(self) -> Matrix:
+        return tracked(self.d_rows - self.rest_rows)
+
+    @property
+    def col_values(self) -> Matrix:
+        return tracked(self.d_cols - self.rest_cols)
 
 
 @dataclass
@@ -158,9 +175,10 @@ class SolverTrace:
     an idle head (see :func:`solve`) have no entry; in ``resampled`` mode
     steps == list(range(iterations)).  ``allocated`` records the
     allocation (8-byte scalar units) per step as seen by the matcore
-    meter: per slab, S, D - S and one transient residual, plus the L
-    evaluation (and, when resampling, the new draw's gathers); no boolean
-    arrays.  sampled_rows/sampled_cols record |I| and |J| per step.
+    meter: per slab, D - S and two block-sized buffers (threshold and
+    residual norm), plus the L evaluation (and, when resampling, the new
+    draw's gathers); no S slab, residual slab or boolean array.
+    sampled_rows/sampled_cols record |I| and |J| per step.
     """
 
     steps: list[int] = field(default_factory=list)
@@ -174,26 +192,25 @@ class SolverTrace:
     sampled_cols: list[int] = field(default_factory=list)
 
 
-def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> tuple[Matrix, Matrix]:
-    """S = D - L with every entry of magnitude <= zeta zeroed, and D - S.
+def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
+    """D - S, where S = D - L with every entry of magnitude <= zeta zeroed.
 
-    The keep mask is formed as 0.0/1.0 floats in the buffer that then
-    receives D - S, so no boolean array of the slab's size is allocated.
-    Both outputs take D's memory order, and the five operations run block
-    by block (:func:`matcore.blocks`) while a block is in cache.  Zeroed
-    entries of S may be -0.0.
+    Each block (:func:`matcore.blocks`) computes d - s * keep while it is in
+    cache: s = d - l goes to the blocks' shared block-sized buffer, and the
+    keep mask is formed as 0.0/1.0 floats in the output, so neither S nor a
+    boolean array of the slab's size is allocated.  The output takes D's
+    memory order.  S itself is D - (D - S) (see :class:`SparseEstimate`).
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    S = tracked(np.empty_like(D))
     rest = tracked(np.empty_like(D))
-    for d, l, s, keep in matcore.blocks(D, L, S, rest):
+    for d, l, keep, s in matcore.blocks(D, L, rest, buffer=True):
         np.subtract(d, l, out=s)
         np.abs(s, out=keep)
         np.greater(keep, zeta, out=keep)
         s *= keep
         np.subtract(d, s, out=keep)
-    return S, rest
+    return rest
 
 
 def threshold_at(config: SolverConfig, k: int) -> float:
@@ -274,22 +291,24 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     record's L slabs, so a fixed-index caller steps the same record again;
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
-    taken from the D - S slabs that also serve as the new R and C.
+    taken from the D - S slabs that also serve as the new R and C.  The
+    returned :class:`SparseEstimate` holds the D and D - S slabs, so S is
+    only formed when read.
     """
     return _step(slabs, zeta, rank)[:3]
 
 
 def _step(
-    slabs: Slabs, zeta: float, rank: int, idle_max: bool = False
+    slabs: Slabs, zeta: float, rank: int, idle: bool = False
 ) -> tuple[CurFactors, SparseEstimate, float, float | None]:
-    """:func:`step`, plus m = max |D - L_{k+1}| on the slabs when ``idle_max``
-    is set and S_{k+1} = 0 (else None).  With S = 0, D - S is D bitwise, so
-    m is read from the residual slabs that give e."""
+    """:func:`step`, plus m = max |D - L_{k+1}| on the slabs when ``idle``
+    (the caller knows S_{k+1} = 0), else None.  With S = 0, D - S is D
+    bitwise, so m comes from the residual pass that gives e."""
     rows, cols = slabs.rows, slabs.cols
 
-    # Phase I: sparse slab update, which also yields the D - S slabs.
-    s_rows, r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta)
-    s_cols, c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
+    # Phase I: sparse slab update, held as the D - S slabs.
+    r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta)
+    c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
 
     # Phase II: CUR update with rank-truncated core.
     core = submatrix(r_new, None, cols)
@@ -300,20 +319,12 @@ def _step(
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
-    idle_max = idle_max and not (np.count_nonzero(s_rows) or np.count_nonzero(s_cols))
-    (f_rows, m_rows), (f_cols, m_cols) = (
-        _residual_norms(r_new, slabs.l_rows, idle_max),
-        _residual_norms(c_new, slabs.l_cols, idle_max),
-    )
+    f_rows, m_rows = diff_norms(r_new, slabs.l_rows, idle)
+    f_cols, m_cols = diff_norms(c_new, slabs.l_cols, idle)
     e = (f_rows + f_cols) / slabs.den if slabs.den else 0.0
-    m = max(m_rows, m_cols) if idle_max else None
-    return cur, SparseEstimate(s_rows, s_cols, rows, cols), e, m
-
-
-def _residual_norms(d_minus_s: Matrix, l: Matrix, with_max: bool) -> tuple[float, float]:
-    """||(D - S) - L||_F and, if ``with_max``, its max |entry| (else 0)."""
-    res = tracked(d_minus_s - l)
-    return frob_norm(res), inf_norm(res) if with_max else 0.0
+    m = max(m_rows, m_cols) if idle else None
+    sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
+    return cur, sparse, e, m
 
 
 def solve(
@@ -366,11 +377,16 @@ def solve(
         if cfg.mode == "resampled" and k > 0:
             rows = sample_indices(n1, m_rows, gen)
             cols = sample_indices(n2, m_cols, gen)
-            slabs = None  # free the last draw's slabs before gathering new ones
+            # Free the last draw's slabs (sparse holds its D slabs too)
+            # before gathering new ones.
+            slabs = sparse = None
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = threshold_at(cfg, k)
-        cur, sparse, e, m = _step(slabs, zeta, cfg.rank, k == 0 and cfg.mode == "fixed")
+        # L_0 = 0, so step 1 thresholds nothing iff every slab entry is <= zeta.
+        idle = k == 0 and cfg.mode == "fixed" and (
+            max(inf_norm(slabs.d_rows), inf_norm(slabs.d_cols)) <= zeta)
+        cur, sparse, e, m = _step(slabs, zeta, cfg.rank, idle)
         k_next = k + 1
         if m is not None and e > cfg.eps:
             # Step 1 thresholded nothing, so L_1 = CUR(D); a step at any

@@ -9,6 +9,7 @@ from ircur import matcore
 from ircur.matcore import (
     PinvFactor,
     SvdFactors,
+    diff_norms,
     frob_norm,
     inf_norm,
     pinv_factor,
@@ -106,6 +107,44 @@ def test_inf_norm_rejects_non_finite_in_any_block(order, bad, where):
     M[where] = bad
     with pytest.raises(ValueError, match="non-finite"):
         inf_norm(M)
+
+
+@pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
+def test_diff_norms_multi_block_matches_dense_norm(orders):
+    A, B = multi_block(orders[0]), multi_block(orders[1])
+    f, m = diff_norms(A, B, with_max=True)
+    assert f == pytest.approx(np.linalg.norm(A - B), rel=1e-13, abs=0.0)
+    assert m == np.max(np.abs(A - B))
+    assert diff_norms(A, B) == (f, 0.0)
+    assert frob_norm(A) == diff_norms(A)[0] == pytest.approx(np.linalg.norm(A), rel=1e-13)
+    assert diff_norms(A, with_max=True)[1] == inf_norm(A)
+
+
+@pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
+def test_diff_norms_tiny_entries_take_the_rescale_path(orders):
+    # Entries near 3e-160: their squares underflow.  Scaling by a power of
+    # two is exact here, so the oracle is the norm of the unscaled difference.
+    scale = 2.0**-530
+    A0, B0 = multi_block(orders[0]), multi_block(orders[1])
+    f, m = diff_norms(A0 * scale, B0 * scale, with_max=True)
+    assert f < matcore.FROB_RESCALE_BELOW
+    assert f == pytest.approx(np.linalg.norm(A0 - B0) * scale, rel=1e-13, abs=0.0)
+    assert m == np.max(np.abs(A0 - B0)) * scale
+    assert diff_norms(A0 * scale, B0 * scale)[0] == f
+    assert diff_norms(B0 * scale, B0 * scale) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("orders", ["CC", "FC"])
+def test_diff_norms_allocates_no_slab_sized_temporary(orders):
+    A = np.asarray(rng.standard_normal((1000, 1000)), order=orders[0])
+    B = np.asarray(rng.standard_normal((1000, 1000)), order=orders[1])
+    tracemalloc.start()
+    try:
+        diff_norms(A, B, with_max=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matcore.BLOCK_BYTES < A.nbytes // 8
 
 
 def test_submatrix_identity_slicing():

@@ -36,27 +36,27 @@ def exact_cur(L, rows, cols, r):
 
 def test_hard_threshold_example():
     D = np.array([[3.0, -1.0], [0.5, 2.0]])
-    S, rest = hard_threshold(D, np.zeros((2, 2)), 1.0)
-    np.testing.assert_array_equal(S, [[3.0, 0.0], [0.0, 2.0]])
+    rest = hard_threshold(D, np.zeros((2, 2)), 1.0)
     np.testing.assert_array_equal(rest, [[0.0, -1.0], [0.5, 0.0]])
+    np.testing.assert_array_equal(D - rest, [[3.0, 0.0], [0.0, 2.0]])  # S
 
 
 def test_hard_threshold_zero_cutoff_keeps_nonzeros():
     X = np.array([[0.0, -2.0], [1e-300, 0.0]])
-    S, rest = hard_threshold(X, np.zeros((2, 2)), 0.0)
-    np.testing.assert_array_equal(S, X)
+    rest = hard_threshold(X, np.zeros((2, 2)), 0.0)
     assert not rest.any()
 
 
 def test_hard_threshold_full_suppression():
     X = rng.standard_normal((5, 5))
-    S, rest = hard_threshold(X, np.zeros((5, 5)), inf_norm(X))
-    assert not S.any()
-    np.testing.assert_array_equal(rest, X)
+    rest = hard_threshold(X, np.zeros((5, 5)), inf_norm(X))
+    assert rest.tobytes() == X.tobytes()
 
 
 def test_hard_threshold_boundary_is_strict():
-    assert hard_threshold(np.array([[1.0]]), np.zeros((1, 1)), 1.0)[0][0, 0] == 0.0
+    # |x - y| == zeta is not kept: S = 0 there, so D - S = D.
+    assert hard_threshold(np.array([[1.0]]), np.zeros((1, 1)), 1.0)[0, 0] == 1.0
+    assert hard_threshold(np.array([[1.0]]), np.zeros((1, 1)), 0.5)[0, 0] == 0.0
 
 
 def test_hard_threshold_rejects_negative_cutoff():
@@ -72,25 +72,28 @@ def test_hard_threshold_rejects_negative_cutoff():
 @settings(max_examples=50)
 def test_hard_threshold_pointwise_definition(D, L, zeta):
     D0, L0 = D.copy(), L.copy()
-    S, rest = hard_threshold(D, L, zeta)
+    rest = hard_threshold(D, L, zeta)
     assert D0.tobytes() == D.tobytes() and L0.tobytes() == L.tobytes()  # inputs only read
-    for x, y, s, o in zip(D.ravel(), L.ravel(), S.ravel(), rest.ravel()):
-        assert s == (x - y if abs(x - y) > zeta else 0.0)  # == also admits -0.0
-        assert o == x - s
+    for x, y, o in zip(D.ravel(), L.ravel(), rest.ravel()):
+        assert o == x - (x - y if abs(x - y) > zeta else 0.0)
+
+
+def whole_slab_rest(D, L, zeta):
+    diff = D - L
+    return D - diff * (np.abs(diff) > zeta)
 
 
 @pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
 def test_hard_threshold_multi_block_matches_whole_slab_formula(orders):
     # The slab spans several blocks; any mix of memory orders gives the
-    # whole-array result bitwise, in D's order.
+    # whole-array d - s * keep bitwise, in D's order.
     D = np.asarray(rng.standard_normal((700, 150)), order=orders[0])
     L = np.asarray(rng.standard_normal((700, 150)), order=orders[1])
     assert D.nbytes > 3 * matcore.BLOCK_BYTES
-    S, rest = hard_threshold(D, L, 1.0)
-    diff = D - L
-    expected = np.where(np.abs(diff) > 1.0, diff, 0.0)
-    assert np.array_equal(S, expected) and np.array_equal(rest, D - expected)
-    assert S.flags.f_contiguous == rest.flags.f_contiguous == (orders[0] == "F")
+    rest = hard_threshold(D, L, 1.0)
+    assert rest.tobytes("C") == whole_slab_rest(D, L, 1.0).tobytes("C")
+    assert rest.flags.f_contiguous == (orders[0] == "F")
+    assert rest.flags.c_contiguous == (orders[0] == "C")
 
 
 def test_sample_slabs_l_slabs_follow_d_slab_order():
@@ -462,6 +465,18 @@ def test_fixed_solve_clean_instance_has_no_skip():
     assert trace.converged and trace.steps == list(range(trace.iterations))
 
 
+def test_fixed_solve_active_first_step_has_no_skip():
+    # Spikes far above zeta0 make step 1 threshold, and L_1 then fits the
+    # rest of the slabs within a few later cutoffs: a skip taken there
+    # would change the result.
+    L = gen_low_rank(100, 3, RngSeed(36))
+    D = L.copy()
+    D.flat[np.random.default_rng(37).choice(D.size, 100, replace=False)] = 100 * inf_norm(L)
+    cfg = SolverConfig(rank=3, zeta0=10 * inf_norm(L), max_iter=60, seed=RngSeed(38))
+    trace = assert_matches_every_index_solve(D, cfg)
+    assert trace.converged and trace.steps == list(range(trace.iterations))
+
+
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_zero_slabs_of_a_nonzero_matrix(mode):
     # The only nonzero entry lies outside the first draw, so the sampled
@@ -576,6 +591,79 @@ def test_solve_allocation_stays_slab_sized(mode):
         trace.allocated, trace.sampled_rows, trace.sampled_cols
     ):
         assert alloc <= 8 * (isize + jsize) * n
+
+
+def test_steady_fixed_step_allocates_no_s_or_residual_slab():
+    # Per steady step: the D - S slab pair (new R and C), block-sized
+    # buffers and factor-sized products.  S slabs or a residual slab pair
+    # would each add one more |I| * n2 + n1 * |J|.
+    n = 2000
+    inst = make_problem(SyntheticSpec(n, 5, 0.1, RngSeed(72)))
+    cfg = SolverConfig(rank=5, max_iter=20, eps=1e-12, seed=RngSeed(73))
+    _, _, trace = solve(inst.D, cfg)
+    assert len(trace.allocated) > 2 and trace.steps[1] > 1  # steps after a skipped head
+    for alloc, isize, jsize in list(zip(
+        trace.allocated, trace.sampled_rows, trace.sampled_cols
+    ))[1:]:
+        assert alloc < 1.5 * (isize * n + n * jsize)
+
+
+def parent_hard_threshold(D, L, zeta):
+    """The threshold kernel that also wrote S: (S, D - S)."""
+    S, rest = np.empty_like(D), np.empty_like(D)
+    for d, l, s, keep in matcore.blocks(D, L, S, rest):
+        np.subtract(d, l, out=s)
+        np.abs(s, out=keep)
+        np.greater(keep, zeta, out=keep)
+        s *= keep
+        np.subtract(d, s, out=keep)
+    return S, rest
+
+
+def parent_diff_norms(A, B, with_max):
+    """The residual norms from a slab-sized A - B and a BLAS norm."""
+    res = A - B
+    f = float(np.linalg.norm(res, "fro"))
+    if f < matcore.FROB_RESCALE_BELOW and res.any():
+        f = inf_norm(res) * float(np.linalg.norm(res / inf_norm(res), "fro"))
+    return f, inf_norm(res) if with_max else 0.0
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
+    # The solver with the kernels that wrote S and a residual slab swapped
+    # back in: same schedule, bitwise factors, and S = D - (D - S) equals
+    # the S those kernels wrote.
+    cases = [(c, alpha, seed) for c, alpha in [(4, .1), (2, .2), (1, .1), (4, .3)]
+             for seed in range(2)]
+    runs = {}
+    for kernels in ("current", "parent"):
+        written = []
+        if kernels == "parent":
+            def hard_threshold_writing_s(D, L, zeta):
+                S, rest = parent_hard_threshold(D, L, zeta)
+                written.append(S)
+                return rest
+            monkeypatch.setattr(solver, "hard_threshold", hard_threshold_writing_s)
+            monkeypatch.setattr(solver, "diff_norms", parent_diff_norms)
+        runs[kernels] = []
+        for c, alpha, seed in cases:
+            inst = make_problem(SyntheticSpec(300, 5, alpha, RngSeed(seed, 92)))
+            zeta0 = 2.0 * inf_norm(inst.L) if seed == 0 else None
+            cfg = SolverConfig(rank=5, c_rows=c, c_cols=c, mode=mode, max_iter=60,
+                               zeta0=zeta0, seed=RngSeed(seed, 93))
+            cur, sparse, trace = solve(inst.D, cfg)
+            S = written[-2:] if written else [sparse.row_values, sparse.col_values]
+            runs[kernels].append((cur, S, trace))
+    for (cur, S, trace), (ref_cur, ref_S, ref) in zip(runs["current"], runs["parent"]):
+        assert (trace.iterations, trace.steps, trace.converged) == (
+            ref.iterations, ref.steps, ref.converged)
+        for got, want in [(cur.C, ref_cur.C), (cur.R, ref_cur.R),
+                          (cur.core_pinv.sigma, ref_cur.core_pinv.sigma)]:
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(trace.errors, ref.errors, rtol=1e-14, atol=0.0)
+        for got, want in zip(S, ref_S):
+            assert np.array_equal(got, want)
 
 
 def test_solve_resampled_redraws_indices():
