@@ -608,7 +608,7 @@ def test_steady_fixed_step_allocates_no_s_or_residual_slab():
         assert alloc < 1.5 * (isize * n + n * jsize)
 
 
-def parent_hard_threshold(D, L, zeta):
+def s_writing_hard_threshold(D, L, zeta):
     """The threshold kernel that also wrote S: (S, D - S)."""
     S, rest = np.empty_like(D), np.empty_like(D)
     for d, l, s, keep in matcore.blocks(D, L, S, rest):
@@ -620,7 +620,7 @@ def parent_hard_threshold(D, L, zeta):
     return S, rest
 
 
-def parent_diff_norms(A, B, with_max):
+def slab_residual_norms(A, B, with_max):
     """The residual norms from a slab-sized A - B and a BLAS norm."""
     res = A - B
     f = float(np.linalg.norm(res, "fro"))
@@ -637,15 +637,15 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     cases = [(c, alpha, seed) for c, alpha in [(4, .1), (2, .2), (1, .1), (4, .3)]
              for seed in range(2)]
     runs = {}
-    for kernels in ("current", "parent"):
+    for kernels in ("blocked", "s_writing"):
         written = []
-        if kernels == "parent":
+        if kernels == "s_writing":
             def hard_threshold_writing_s(D, L, zeta):
-                S, rest = parent_hard_threshold(D, L, zeta)
+                S, rest = s_writing_hard_threshold(D, L, zeta)
                 written.append(S)
                 return rest
             monkeypatch.setattr(solver, "hard_threshold", hard_threshold_writing_s)
-            monkeypatch.setattr(solver, "diff_norms", parent_diff_norms)
+            monkeypatch.setattr(solver, "diff_norms", slab_residual_norms)
         runs[kernels] = []
         for c, alpha, seed in cases:
             inst = make_problem(SyntheticSpec(300, 5, alpha, RngSeed(seed, 92)))
@@ -655,7 +655,7 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
             cur, sparse, trace = solve(inst.D, cfg)
             S = written[-2:] if written else [sparse.row_values, sparse.col_values]
             runs[kernels].append((cur, S, trace))
-    for (cur, S, trace), (ref_cur, ref_S, ref) in zip(runs["current"], runs["parent"]):
+    for (cur, S, trace), (ref_cur, ref_S, ref) in zip(runs["blocked"], runs["s_writing"]):
         assert (trace.iterations, trace.steps, trace.converged) == (
             ref.iterations, ref.steps, ref.converged)
         for got, want in [(cur.C, ref_cur.C), (cur.R, ref_cur.R),
