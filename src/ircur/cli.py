@@ -9,7 +9,9 @@ solve             decompose a matrix file, writing C/core/R factors and a
 phase-transition  success-count grid over sampling constant c and
                   corruption rate alpha; CSV rows c,alpha,successes,trials
 bench             runtime scaling over problem sizes; CSV rows
-                  n,iterations,total_seconds,seconds_per_iteration,final_e
+                  n,iterations,total_seconds,seconds_per_iteration,final_e,
+                  and with two or more distinct sizes one stderr line with
+                  the log-log slope of seconds_per_iteration against n
 video             background/foreground separation of a PGM frame directory
 cur2svd           convert stored CUR factors to compact SVD factors
 
@@ -30,8 +32,7 @@ from pathlib import Path
 
 from .convert import cur_to_svd
 from .experiments import (
-    ExperimentGrid, bench_specs, phase_trials, run_bench, run_phase_transition,
-    run_video,
+    bench_specs, phase_trials, run_bench, run_phase_transition, run_video, scaling_slope,
 )
 from .matcore import pinv_factor
 from .mio import FormatError, read_matrix, write_matrix
@@ -143,9 +144,8 @@ def cmd_solve(args) -> int:
 
 def cmd_phase_transition(args) -> int:
     cfg = _config(args)
-    grid = _from_flags(ExperimentGrid, args.c_grid, args.alpha_grid, args.trials, args.n)
-    rows = run_phase_transition(_from_flags(phase_trials, grid, cfg))
-    _write_csv(args.out, "c,alpha,successes,trials", rows)
+    trials = _from_flags(phase_trials, args.c_grid, args.alpha_grid, args.trials, args.n, cfg)
+    _write_csv(args.out, "c,alpha,successes,trials", run_phase_transition(trials))
     return EXIT_OK
 
 
@@ -153,6 +153,8 @@ def cmd_bench(args) -> int:
     cfg = _config(args)
     rows = run_bench(_from_flags(bench_specs, args.sizes, args.alpha, cfg), cfg)
     _write_csv(args.out, "n,iterations,total_seconds,seconds_per_iteration,final_e", rows)
+    if len(set(args.sizes)) >= 2:
+        print(f"bench: per-iteration log-log slope {scaling_slope(rows):.3f}", file=sys.stderr)
     return EXIT_OK
 
 

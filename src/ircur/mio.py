@@ -229,13 +229,13 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape((h, w)).copy()
 
 
-def write_frame_dir(seq: FrameSequence, directory, prefix: str = "frame") -> list[Path]:
-    """Write every frame as ``<prefix>_<index>.pgm`` inside ``directory``."""
+def write_frame_dir(seq: FrameSequence, directory) -> list[Path]:
+    """Write every frame as ``frame_<index>.pgm`` inside ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for t in range(seq.frame_count):
-        p = directory / f"{prefix}_{t:05d}.pgm"
+        p = directory / f"frame_{t:05d}.pgm"
         write_pgm(seq.pixels[t], p)
         paths.append(p)
     return paths

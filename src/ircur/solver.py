@@ -94,10 +94,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.zeta0 is not None and not self.zeta0 > 0:
-            raise ValueError(f"zeta0 must be > 0 (or None), got {self.zeta0}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.zeta0 is not None and not 0 < self.zeta0 < math.inf:
+            raise ValueError(f"zeta0 must be finite and > 0 (or None), got {self.zeta0}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (0 < self.c_rows < math.inf and 0 < self.c_cols < math.inf):

@@ -10,12 +10,12 @@ import numpy as np
 
 from ircur.convert import cur_to_svd
 from ircur.experiments import (
-    ExperimentGrid,
     bench_specs,
     run_bench,
     phase_trials,
     run_phase_transition,
     run_video,
+    scaling_slope,
 )
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import (
@@ -94,18 +94,13 @@ def test_criterion_2_clean_recovery():
 def test_criterion_3_phase_transition():
     # Desk-scale success grid at n=300, r=5, gamma=0.65, zeta0=2*max|L|.
     t0 = time.perf_counter()
-    grid = ExperimentGrid(
-        c_values=(1.0, 2.0, 3.0, 4.0),
-        alpha_values=(0.1, 0.3),
-        trials=50,
-        n=300,
-    )
     wins = {}
     for mode in ("fixed", "resampled"):
         cfg = SolverConfig(
             rank=5, eps=1e-5, gamma=0.65, mode=mode, max_iter=60, seed=RngSeed(42)
         )
-        for c, alpha, successes, trials in run_phase_transition(phase_trials(grid, cfg)):
+        grid = phase_trials((1.0, 2.0, 3.0, 4.0), (0.1, 0.3), 50, 300, cfg)
+        for c, alpha, successes, trials in run_phase_transition(grid):
             wins[(mode, c, alpha)] = successes
 
     problems = []
@@ -164,9 +159,7 @@ def test_criterion_5_scaling_exponent():
     t0 = time.perf_counter()
     cfg = SolverConfig(rank=5, c_rows=4.0, c_cols=4.0, mode="fixed", seed=RngSeed(99))
     rows = run_bench(bench_specs([1000, 2000, 4000, 8000], 0.1, cfg), cfg)
-    ns = np.log([r[0] for r in rows])
-    ts = np.log([r[3] for r in rows])
-    slope = float(np.polyfit(ns, ts, 1)[0])
+    slope = scaling_slope(rows)
     per_ms = [round(r[3] * 1000, 2) for r in rows]
     ok = slope <= 1.3 and all(r[4] <= 1e-5 for r in rows)
     report(5, ok, t0, f"log-log slope {slope:.3f} (per-iter ms {per_ms})")

@@ -5,7 +5,7 @@ import pytest
 
 from ircur import cli, experiments
 from ircur.cli import main
-from ircur.experiments import ExperimentGrid, phase_trials, run_phase_transition
+from ircur.experiments import bench_specs, phase_trials, run_bench, run_phase_transition
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import FrameSequence, read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
@@ -121,6 +121,8 @@ def test_flags_an_experiment_sets_itself_are_rejected(argv, capsys):
     ["phase-transition", "--c-grid", "0"],
     ["solve", "{matrix}", "--c-rows", "nan"],
     ["solve", "{matrix}", "--c-cols", "inf"],
+    ["solve", "{matrix}", "--zeta0", "inf"],
+    ["solve", "{matrix}", "--eps", "inf"],
     ["bench", "--sizes", ""],
 ])
 def test_out_of_range_flag_value_is_a_usage_error(argv, clean_matrix, monkeypatch, capsys):
@@ -312,22 +314,20 @@ def test_phase_transition_csv_deterministic(tmp_path):
 
 
 def test_phase_transition_clean_column_always_succeeds(tmp_path):
-    grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0,), trials=4, n=60)
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=40, seed=RngSeed(7))
-    rows = run_phase_transition(phase_trials(grid, cfg))
+    rows = run_phase_transition(phase_trials((1.0, 2.0), (0.0,), 4, 60, cfg))
     assert all(wins == trials for _, _, wins, trials in rows)
 
 
 def test_phase_transition_rows_do_not_depend_on_trial_order():
-    grid = ExperimentGrid(c_values=(1.0, 2.0), alpha_values=(0.0, 0.2), trials=3, n=50)
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=30, seed=RngSeed(9))
-    trials = phase_trials(grid, cfg)
+    trials = phase_trials((1.0, 2.0), (0.0, 0.2), 3, 50, cfg)
     forward = run_phase_transition(trials)
     assert len(forward) == 4
     assert sorted(run_phase_transition(trials[::-1])) == sorted(forward)
 
 
-def test_bench_single_size(tmp_path):
+def test_bench_single_size(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main([
         "bench", "--sizes", "300", "--rank", "3", "--alpha", "0.1",
@@ -338,6 +338,24 @@ def test_bench_single_size(tmp_path):
     assert lines[0] == "n,iterations,total_seconds,seconds_per_iteration,final_e"
     assert len(lines) == 2
     assert lines[1].startswith("300,")
+    assert capsys.readouterr().err == ""  # no slope from one size
+
+
+def test_bench_prints_one_slope_line(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--sizes", "60,120", "--rank", "3", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "n,iterations,total_seconds,seconds_per_iteration,final_e"
+    cfg = SolverConfig(rank=3, seed=RngSeed(3))
+    expected = run_bench(bench_specs([60, 120], 0.1, cfg), cfg)
+    for line, (n, iterations, _, _, final_e) in zip(lines[1:], expected, strict=True):
+        fields = line.split(",")
+        assert (int(fields[0]), int(fields[1]), float(fields[4])) == (n, iterations, final_e)
+        assert float(fields[2]) >= float(fields[3]) > 0.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bench: per-iteration log-log slope ")
+    assert np.isfinite(float(err[0].rsplit(" ", 1)[1]))
 
 
 def test_video_command(tmp_path, capsys):
@@ -389,10 +407,13 @@ def test_video_zero_size_frames_exit_one(tmp_path, capsys):
 
 
 def test_experiment_grid_validation():
+    cfg = SolverConfig(rank=2)
     with pytest.raises(ValueError):
-        ExperimentGrid((), (0.1,), 5, 50)
+        phase_trials((), (0.1,), 5, 50, cfg)
     with pytest.raises(ValueError):
-        ExperimentGrid((1.0,), (0.1,), 0, 50)
+        phase_trials((1.0,), (), 5, 50, cfg)
+    with pytest.raises(ValueError):
+        phase_trials((1.0,), (0.1,), 0, 50, cfg)
 
 
 def test_fixed_mode_cheaper_per_iteration():

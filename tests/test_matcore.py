@@ -65,6 +65,11 @@ def test_frob_norm_tiny_entries_keep_their_precision():
     assert frob_norm(np.zeros((3, 2))) == 0.0
 
 
+def test_frob_norm_huge_entries_do_not_overflow():
+    # Squared, these entries overflow.
+    assert frob_norm(np.full((3, 3), 1e200)) == pytest.approx(3e200, rel=1e-15, abs=0.0)
+
+
 def test_frob_norm_matches_summation_oracle():
     M = rng.standard_normal((7, 5))
     oracle = sum(float(x) ** 2 for x in M.ravel()) ** 0.5
@@ -249,6 +254,15 @@ def test_truncated_svd_range_finder_keeps_effective_rank(M):
     exact = PinvFactor.from_svd(exact_truncated_svd(M, 5))
     assert fast.sigma.size == exact.sigma.size == 5
     assert fast.effective_rank == exact.effective_rank == np.linalg.matrix_rank(M)
+
+
+@pytest.mark.parametrize("power", [520, -660])
+def test_truncated_svd_range_finder_is_exact_under_power_of_two_scaling(power):
+    # Unscaled, M (M^T Q) overflows at 2**520 and underflows at 2**-660.
+    M = low_rank_core((180, 180), 5, outlier_rate=0.1, outlier_size=0.1)
+    fac, scaled = truncated_svd(M, 5), truncated_svd(np.ldexp(M, power), 5)
+    assert np.array_equal(fac.W, scaled.W) and np.array_equal(fac.V, scaled.V)
+    assert np.array_equal(np.ldexp(fac.sigma, power), scaled.sigma)
 
 
 def test_truncated_svd_is_deterministic():

@@ -710,6 +710,18 @@ def test_solve_tiny_matrices():
     np.testing.assert_allclose(cur_eval(cur), small, atol=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_recovers_at_extreme_scales(mode):
+    # At 2**520 the range finder's M (M^T Q) and the slab sums of squares
+    # overflow; at 2**-660 they underflow.  Both scales are exact.
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
+    for power in (520, -660):
+        D, L = np.ldexp(inst.D, power), np.ldexp(inst.L, power)
+        cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
+        cur, _, trace = solve(D, cfg)
+        assert trace.converged and success_check(cur, L), power
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rank=0)
@@ -718,10 +730,14 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rank=1, eps=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(rank=1, eps=np.inf)
+    with pytest.raises(ValueError):
         SolverConfig(rank=1, mode="sometimes")
     with pytest.raises(ValueError):
         SolverConfig(rank=1, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(rank=1, zeta0=-2.0)
+    with pytest.raises(ValueError):
+        SolverConfig(rank=1, zeta0=np.inf)
     with pytest.raises(ValueError):
         SolverConfig(rank=1, c_rows=0.0)
