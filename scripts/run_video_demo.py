@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ircur.experiments import run_video
-from ircur.mio import FrameSequence, read_frame_dir, write_frame_dir
+from ircur.mio import read_frame_dir, write_frame_dir
 from ircur.sampling import RngSeed
 from ircur.solver import SolverConfig
 from ircur.synth import make_video
@@ -35,7 +35,7 @@ def main() -> int:
         args.width, args.height, args.frames, RngSeed(args.seed)
     )
     frame_dir = out / "frames"
-    write_frame_dir(FrameSequence(frames), frame_dir)
+    write_frame_dir(frames, frame_dir)
     print(f"wrote {args.frames} input frames to {frame_dir}")
 
     cfg = SolverConfig(
@@ -45,7 +45,7 @@ def main() -> int:
     run_video(frame_dir, out, cfg)
 
     recovered = read_frame_dir(out / "background")
-    err = np.abs(recovered.pixels.astype(float) - background.astype(float))
+    err = np.abs(recovered.astype(float) - background.astype(float))
     print(f"background mean abs error {err.mean():.4f}, max {err.max():.1f} gray levels")
     return 0
 

@@ -41,7 +41,7 @@ from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_NOT_CONVERGED = 2
+EXIT_NOT_CONVERGED = 3
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -105,7 +105,7 @@ def _write_factors(args, **factors) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, M in factors.items():
-        write_matrix(M, out / f"{name}.{args.format}", args.format)
+        write_matrix(M, out / f"{name}.{args.format}")
     return out
 
 
@@ -242,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad flag value exits 2 as a usage error, and
-    unreadable, malformed or empty input files exit with EXIT_ERROR."""
+    """Run one subcommand; a bad flag value exits 2 as a usage error,
+    unreadable, malformed or empty input files exit with EXIT_ERROR, and a
+    solve that stops at --max-iter exits with EXIT_NOT_CONVERGED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -108,12 +108,14 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     foreground is |D - background| rescaled to [0, 255] per frame.  Only
     per-chunk column slices of the estimates are ever materialized.
     """
-    seq = read_frame_dir(frame_dir)
+    frames = read_frame_dir(frame_dir)
+    n_frames, height, width = frames.shape
     log(
-        f"video: {seq.frame_count} frames of {seq.width}x{seq.height}, "
+        f"video: {n_frames} frames of {width}x{height}, "
         f"rank={cfg.rank}, c={cfg.c_rows}/{cfg.c_cols}, mode={cfg.mode}"
     )
-    D = frames_to_matrix(seq)
+    D = frames_to_matrix(frames)
+    del frames  # D holds the pixels from here on
     cur, _, trace = solve(D, cfg)
     log(
         f"video: {'converged' if trace.converged else 'stopped'} after "
@@ -123,7 +125,6 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     fg_dir = Path(out_dir) / "foreground"
     bg_dir.mkdir(parents=True, exist_ok=True)
     fg_dir.mkdir(parents=True, exist_ok=True)
-    n_frames = seq.frame_count
     for start in range(0, n_frames, VIDEO_CHUNK):
         stop = min(start + VIDEO_CHUNK, n_frames)
         cols = IndexSet(np.arange(start, stop, dtype=np.int64), n_frames)
@@ -132,9 +133,9 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
         peaks = resid.max(axis=0)
         peaks[peaks == 0.0] = 1.0
         fg = resid * (255.0 / peaks)
-        bg_frames = matrix_to_frames(low, seq.width, seq.height)
-        fg_frames = matrix_to_frames(fg, seq.width, seq.height)
+        bg_frames = matrix_to_frames(low, width, height)
+        fg_frames = matrix_to_frames(fg, width, height)
         for t in range(start, stop):
-            write_pgm(bg_frames.pixels[t - start], bg_dir / f"frame_{t:05d}.pgm")
-            write_pgm(fg_frames.pixels[t - start], fg_dir / f"frame_{t:05d}.pgm")
+            write_pgm(bg_frames[t - start], bg_dir / f"frame_{t:05d}.pgm")
+            write_pgm(fg_frames[t - start], fg_dir / f"frame_{t:05d}.pgm")
     return trace

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import struct
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,36 +49,29 @@ def _sniff_format(path: Path) -> str:
         return "bin"
 
 
-def write_matrix(M: Matrix, path, fmt: str | None = None) -> None:
-    """Write M to ``path`` as BIN (default) or CSV."""
+def write_matrix(M: Matrix, path) -> None:
+    """Write M to ``path``: CSV for a ``.csv`` suffix, else BIN."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "bin")
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("only 2-D matrices can be written")
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         np.savetxt(path, M, delimiter=",", fmt="%.17g")
-    elif fmt == "bin":
+    else:
         with open(path, "wb") as fh:
             fh.write(_BIN_HEADER.pack(BIN_MAGIC, M.shape[0], M.shape[1]))
             fh.write(np.asarray(M, dtype="<f8").tobytes(order="F"))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
-def read_matrix(path, fmt: str | None = None) -> Matrix:
-    """Read a matrix written by :func:`write_matrix`.
+def read_matrix(path) -> Matrix:
+    """Read a matrix written by :func:`write_matrix`: ``.csv`` and ``.bin``
+    by suffix, any other file by its magic bytes.
 
     Bad magic, truncated payloads, and non-finite values raise
     FormatError (with the byte offset for binary files).
     """
     path = Path(path)
-    fmt = fmt or _sniff_format(path)
-    if fmt == "bin":
-        return _read_bin(path)
-    if fmt == "csv":
-        return _read_csv(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _read_bin(path) if _sniff_format(path) == "bin" else _read_csv(path)
 
 
 def _read_bin(path: Path) -> Matrix:
@@ -132,67 +124,48 @@ def _read_csv(path: Path) -> Matrix:
     return M
 
 
-@dataclass
-class FrameSequence:
-    """A stack of same-sized 8-bit grayscale frames, shape (frames, height, width)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 3:
-            raise ValueError("pixels must have shape (frames, height, width)")
-
-    @property
-    def frame_count(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[2]
-
-
-def frames_to_matrix(seq: FrameSequence) -> Matrix:
-    """Stack vectorized frames as columns.
+def frames_to_matrix(frames: np.ndarray) -> Matrix:
+    """Stack the vectorized frames of a (frames, height, width) array as columns.
 
     Pixel (x, y) of frame t (x across the width, y down the height) maps
     to row y + x * height, column t: each frame is flattened
     column-by-column.
     """
-    if seq.frame_count == 0:
-        raise ValueError("empty frame sequence")
-    f, h, w = seq.pixels.shape
+    if frames.ndim != 3 or frames.shape[0] == 0:
+        raise ValueError(f"need a nonempty (frames, height, width) array, got {frames.shape}")
+    f, h, w = frames.shape
     return np.asfortranarray(
-        seq.pixels.transpose(1, 2, 0).reshape((h * w, f), order="F").astype(np.float64)
+        frames.transpose(1, 2, 0).reshape((h * w, f), order="F").astype(np.float64)
     )
 
 
-def matrix_to_frames(M: Matrix, width: int, height: int) -> FrameSequence:
-    """Inverse of :func:`frames_to_matrix`; values are rounded to the
-    nearest integer and clamped to [0, 255]."""
+def matrix_to_frames(M: Matrix, width: int, height: int) -> np.ndarray:
+    """Inverse of :func:`frames_to_matrix`, as a (frames, height, width)
+    uint8 array; values are rounded to the nearest integer and clamped to
+    [0, 255]."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != width * height:
         raise ValueError(
             f"matrix with {M.shape[0]} rows does not match {width}x{height} frames"
         )
     vals = np.clip(np.rint(M), 0, 255).astype(np.uint8)
-    pixels = vals.reshape((height, width, M.shape[1]), order="F").transpose(2, 0, 1)
-    return FrameSequence(pixels.copy())
+    return vals.reshape((height, width, M.shape[1]), order="F").transpose(2, 0, 1).copy()
 
 
 def write_pgm(frame: np.ndarray, path) -> None:
-    """Write one (height, width) uint8 frame as binary PGM (P5, maxval 255)."""
-    frame = np.asarray(frame, dtype=np.uint8)
+    """Write one (height, width) frame of integers in 0..255 as binary PGM
+    (P5, maxval 255); any other value raises ValueError."""
+    frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError("a PGM frame must be 2-D")
+    with np.errstate(invalid="ignore"):  # a value the cast changes fails below
+        pixels = frame.astype(np.uint8, copy=False)
+    if not np.array_equal(pixels, frame):
+        raise ValueError("PGM pixel values must be integers in 0..255")
     h, w = frame.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(frame.tobytes(order="C"))
+        fh.write(pixels.tobytes(order="C"))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -229,20 +202,18 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape((h, w)).copy()
 
 
-def write_frame_dir(seq: FrameSequence, directory) -> list[Path]:
-    """Write every frame as ``frame_<index>.pgm`` inside ``directory``."""
+def write_frame_dir(frames: np.ndarray, directory) -> None:
+    """Write each frame of a (frames, height, width) array as
+    ``frame_<index>.pgm`` inside ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for t in range(seq.frame_count):
-        p = directory / f"frame_{t:05d}.pgm"
-        write_pgm(seq.pixels[t], p)
-        paths.append(p)
-    return paths
+    for t, frame in enumerate(frames):
+        write_pgm(frame, directory / f"frame_{t:05d}.pgm")
 
 
-def read_frame_dir(directory) -> FrameSequence:
-    """Read all ``*.pgm`` files in a directory (sorted by name) as one sequence."""
+def read_frame_dir(directory) -> np.ndarray:
+    """Read all ``*.pgm`` files in a directory (sorted by name) as one
+    (frames, height, width) uint8 array."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.pgm"))
     if not paths:
@@ -256,4 +227,4 @@ def read_frame_dir(directory) -> FrameSequence:
                 f"{shape[1]}x{shape[0]}",
                 path=p,
             )
-    return FrameSequence(np.stack(frames))
+    return np.stack(frames)

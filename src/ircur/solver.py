@@ -31,12 +31,14 @@ gathers fresh slabs and evaluates L_k on them).
 
 While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
-L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, so it is idle exactly
-when max |D| on the slabs is <= zeta0.  After an idle first step
-:func:`solve` reads m = max |D - L_1| on the slabs from that step's
-residual pass and jumps to the first schedule index whose cutoff lies
-below m; every step in between would repeat step 1.  A ``resampled``
-step refits on a new draw, so it runs every index.
+L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, and max |D| from the
+entry scan bounds every slab entry, so :func:`solve` treats step 1 as
+idle when max |D| <= zeta0.  After an idle first step it reads
+m = max |D - L_1| on the slabs from that step's residual pass and jumps
+to the first schedule index whose cutoff lies below m; every step in
+between would repeat step 1.  A zeta0 between the slab maximum and
+max |D| also thresholds nothing at step 1, but runs every index.  A
+``resampled`` step refits on a new draw, so it runs every index.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ class SolverConfig:
     zeta0 = None means "use max |D|" (1 for an all-zero D) at solve time:
     the ideal initial threshold is the max magnitude of the low-rank part,
     which is unobservable; max |D| dominates it and over-thresholding at
-    step 0 is safe because the cutoff decays.  In ``fixed`` mode an
-    over-large zeta0 costs one reduction over the slabs, not iterations
-    (see :func:`solve`).
+    step 0 is safe because the cutoff decays.  In ``fixed`` mode a
+    zeta0 >= max |D| costs one step, not iterations (see :func:`solve`).
     gamma is the decay rate of the threshold schedule; values in
     [0.6, 0.9] are recommended (larger is slower but more robust).
     c_rows / c_cols scale the sampled index counts ceil(c * r * ln(n)).
@@ -237,7 +238,7 @@ def cur_eval(
     return cur.core_pinv.apply_right(c, r, out)
 
 
-def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows=None, l_cols=None):
+def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows, l_cols):
     l_rows = cur_eval(cur, rows, None, l_rows)
     l_cols = cur_eval(cur, None, cols, l_cols)
     # The row and column slabs are separate GEMMs, so their (I, J) blocks can
@@ -338,11 +339,12 @@ def solve(
     on the sampled slabs, and the iteration trace.  Halts when the sampled
     relative residual reaches ``config.eps`` or after ``config.max_iter``
     iterations (``trace.converged`` is False in the latter case).  In
-    ``fixed`` mode, when step 1 thresholds nothing, L_1 = CUR(D), and the
-    loop continues at the first schedule index whose cutoff lies below
-    m = max |D - L_1| on the slabs (capped at ``max_iter``): every step in
-    between would threshold nothing and repeat step 1 bitwise, so the
-    result equals that of running every index.
+    ``fixed`` mode, when zeta0 >= max |D|, step 1 thresholds nothing,
+    L_1 = CUR(D), and the loop continues at the first schedule index whose
+    cutoff lies below m = max |D - L_1| on the slabs (capped at
+    ``max_iter``): every step in between would threshold nothing and
+    repeat step 1 bitwise, so the result equals that of running every
+    index.
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
@@ -383,9 +385,9 @@ def solve(
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = threshold_at(cfg, k)
-        # L_0 = 0, so step 1 thresholds nothing iff every slab entry is <= zeta.
-        idle = k == 0 and cfg.mode == "fixed" and (
-            max(inf_norm(slabs.d_rows), inf_norm(slabs.d_cols)) <= zeta)
+        # L_0 = 0 and max |D| bounds every slab entry, so step 1 thresholds
+        # nothing when max |D| <= zeta.
+        idle = k == 0 and cfg.mode == "fixed" and d_max <= zeta
         cur, sparse, e, m = _step(slabs, zeta, cfg.rank, idle)
         k_next = k + 1
         if m is not None and e > cfg.eps:

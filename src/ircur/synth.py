@@ -52,15 +52,13 @@ def _generator(rng: RngSeed | np.random.Generator) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngSeed) else rng
 
 
-def gen_low_rank(
-    n: int, rank: int, rng: RngSeed | np.random.Generator, n_cols: int | None = None
-) -> Matrix:
-    """Rank-``rank`` matrix A @ B.T from i.i.d. standard normal factors."""
-    if rank > min(n, n if n_cols is None else n_cols):
+def gen_low_rank(n: int, rank: int, rng: RngSeed | np.random.Generator) -> Matrix:
+    """Rank-``rank`` n x n matrix A @ B.T from i.i.d. standard normal factors."""
+    if rank > n:
         raise ValueError("rank exceeds matrix dimensions")
     gen = _generator(rng)
     A = gen.standard_normal((n, rank))
-    B = gen.standard_normal((n if n_cols is None else n_cols, rank))
+    B = gen.standard_normal((n, rank))
     return A @ B.T
 
 

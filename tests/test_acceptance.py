@@ -19,7 +19,6 @@ from ircur.experiments import (
 )
 from ircur.matcore import frob_norm, inf_norm
 from ircur.mio import (
-    FrameSequence,
     frames_to_matrix,
     read_frame_dir,
     read_matrix,
@@ -275,10 +274,10 @@ def test_criterion_9_video_pipeline(tmp_path):
     t0 = time.perf_counter()
     frames, background, boxes = make_video(160, 120, 200, RngSeed(7))
     frame_dir = tmp_path / "frames"
-    write_frame_dir(FrameSequence(frames), frame_dir)
-    seq = read_frame_dir(frame_dir)
-    assert np.array_equal(seq.pixels, frames)  # PGM round trip bit-exact
-    D = frames_to_matrix(seq)
+    write_frame_dir(frames, frame_dir)
+    read_back = read_frame_dir(frame_dir)
+    assert np.array_equal(read_back, frames)  # PGM round trip bit-exact
+    D = frames_to_matrix(read_back)
     write_matrix(D, tmp_path / "D.bin")
     assert np.array_equal(read_matrix(tmp_path / "D.bin"), D)  # BIN bit-exact
 
@@ -287,13 +286,13 @@ def test_criterion_9_video_pipeline(tmp_path):
     trace = run_video(frame_dir, out, cfg, log=lambda *a: None)
     bg = read_frame_dir(out / "background")
     fg = read_frame_dir(out / "foreground")
-    mae = float(np.abs(bg.pixels.astype(float) - background.astype(float)).mean())
+    mae = float(np.abs(bg.astype(float) - background.astype(float)).mean())
 
     pad = 3
     misplaced = 0
     leaked = 0
     for t, (y0, y1, x0, x1) in enumerate(boxes):
-        f = fg.pixels[t].astype(float)
+        f = fg[t].astype(float)
         yy, xx = np.unravel_index(np.argmax(f), f.shape)
         if not (y0 - pad <= yy < y1 + pad and x0 - pad <= xx < x1 + pad):
             misplaced += 1
@@ -301,7 +300,7 @@ def test_criterion_9_video_pipeline(tmp_path):
         outside[max(0, y0 - pad) : y1 + pad, max(0, x0 - pad) : x1 + pad] = 0.0
         leaked += int((outside > 128).sum())
         inside_bg = np.abs(
-            bg.pixels[t, y0:y1, x0:x1].astype(float) - background[y0:y1, x0:x1]
+            bg[t, y0:y1, x0:x1].astype(float) - background[y0:y1, x0:x1]
         ).max()
         assert inside_bg <= 64.0  # no blob ghost in the background frames
     ok = (

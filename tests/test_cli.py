@@ -7,7 +7,7 @@ from ircur import cli, experiments
 from ircur.cli import main
 from ircur.experiments import bench_specs, phase_trials, run_bench, run_phase_transition
 from ircur.matcore import frob_norm, inf_norm
-from ircur.mio import FrameSequence, read_frame_dir, read_matrix, write_frame_dir, write_matrix
+from ircur.mio import read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
 from ircur.solver import SolverConfig, solve
 from ircur.synth import (
@@ -65,7 +65,7 @@ def test_solve_flags_reach_solve(tmp_path, clean_matrix, solve_configs):
 
 def test_video_flags_reach_solve(tmp_path, solve_configs):
     frames, _, _ = make_video(16, 12, 6, RngSeed(4), blob_size=4)
-    write_frame_dir(FrameSequence(frames), tmp_path / "frames")
+    write_frame_dir(frames, tmp_path / "frames")
     argv = ["video", str(tmp_path / "frames"), "--out-dir", str(tmp_path / "out")]
     assert main(argv + solver_flags()) == 0
     assert solve_configs == [FLAGGED]
@@ -185,15 +185,18 @@ def test_solve_missing_file_exit_one(tmp_path):
     assert main(["solve", str(tmp_path / "absent.bin")]) == 1
 
 
-def test_solve_max_iter_cap_exit_two(tmp_path):
+def test_solve_max_iter_cap_exit_three(tmp_path):
     inst = make_problem(SyntheticSpec(60, 3, 0.2, RngSeed(21)))
     p = tmp_path / "hard.bin"
     write_matrix(inst.D, p)
     out = tmp_path / "out"
     code = main(["solve", str(p), "--rank", "3", "--max-iter", "1", "--out-dir", str(out)])
-    assert code == 2
+    assert code == 3
     rows = (out / "trace.csv").read_text().strip().splitlines()
     assert len(rows) == 2  # header + one iteration
+    with pytest.raises(SystemExit) as exc:  # a bad flag value stays a usage error
+        main(["solve", str(p), "--rank", "0", "--out-dir", str(out)])
+    assert exc.value.code == 2
 
 
 def test_solve_corrupted_fixed_trace_has_one_row_per_executed_step(tmp_path):
@@ -361,7 +364,7 @@ def test_bench_prints_one_slope_line(tmp_path, capsys):
 def test_video_command(tmp_path, capsys):
     frames, background, boxes = make_video(48, 36, 20, RngSeed(31), blob_size=8)
     frame_dir = tmp_path / "frames"
-    write_frame_dir(FrameSequence(frames), frame_dir)
+    write_frame_dir(frames, frame_dir)
     out = tmp_path / "video_out"
     code = main(["video", str(frame_dir), "--out-dir", str(out), "--seed", "2"])
     assert code == 0
@@ -369,8 +372,8 @@ def test_video_command(tmp_path, capsys):
     assert "rank=2" in header and "c=4.0" in header
     bg = read_frame_dir(out / "background")
     fg = read_frame_dir(out / "foreground")
-    assert bg.frame_count == 20 and fg.frame_count == 20
-    err = np.abs(bg.pixels.astype(float) - background.astype(float)).mean()
+    assert bg.shape[0] == 20 and fg.shape[0] == 20
+    err = np.abs(bg.astype(float) - background.astype(float)).mean()
     assert err <= 2.0
 
 
@@ -378,11 +381,11 @@ def test_video_single_frame_background_is_the_frame(tmp_path):
     rng = np.random.default_rng(5)
     frame = rng.integers(0, 256, size=(24, 32)).astype(np.uint8)
     frame_dir = tmp_path / "one"
-    write_frame_dir(FrameSequence(frame[None]), frame_dir)
+    write_frame_dir(frame[None], frame_dir)
     out = tmp_path / "sep"
     assert main(["video", str(frame_dir), "--out-dir", str(out), "--seed", "1"]) == 0
     bg = read_frame_dir(out / "background")
-    np.testing.assert_array_equal(bg.pixels[0], frame)
+    np.testing.assert_array_equal(bg[0], frame)
 
 
 def test_video_inconsistent_frames_exit_one(tmp_path):

@@ -11,7 +11,6 @@ from ircur import mio
 from ircur.mio import (
     BIN_MAGIC,
     FormatError,
-    FrameSequence,
     frames_to_matrix,
     matrix_to_frames,
     read_frame_dir,
@@ -44,14 +43,14 @@ def test_empty_file_is_format_error(tmp_path):
     p = tmp_path / "empty.bin"
     p.write_bytes(b"")
     with pytest.raises(FormatError):
-        read_matrix(p, "bin")
+        read_matrix(p)
 
 
 def test_bad_magic_reports_offset_zero(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + struct.pack("<ii", 1, 1) + b"\x00" * 8)
     with pytest.raises(FormatError) as err:
-        read_matrix(p, "bin")
+        read_matrix(p)
     assert err.value.offset == 0
 
 
@@ -59,7 +58,7 @@ def test_truncated_payload_reports_offset(tmp_path):
     p = tmp_path / "short.bin"
     p.write_bytes(BIN_MAGIC + struct.pack("<ii", 2, 2) + b"\x00" * 16)
     with pytest.raises(FormatError) as err:
-        read_matrix(p, "bin")
+        read_matrix(p)
     assert err.value.offset == 12 + 16
 
 
@@ -68,7 +67,7 @@ def test_non_finite_payload_reports_offset(tmp_path):
     payload = np.array([1.0, np.nan, 3.0, 4.0]).astype("<f8").tobytes()
     p.write_bytes(BIN_MAGIC + struct.pack("<ii", 2, 2) + payload)
     with pytest.raises(FormatError) as err:
-        read_matrix(p, "bin")
+        read_matrix(p)
     assert err.value.offset == 12 + 8  # second column-major slot
 
 
@@ -82,7 +81,7 @@ def test_payload_shrunk_after_stat_is_format_error(tmp_path, monkeypatch):
         np, "fromfile", lambda fh, dtype, count: fromfile(fh, dtype=dtype, count=count - 1)
     )
     with pytest.raises(FormatError) as err:
-        read_matrix(p, "bin")
+        read_matrix(p)
     assert err.value.offset == 12 + 8 * 3
 
 
@@ -94,7 +93,7 @@ def test_header_shrunk_after_stat_is_format_error(tmp_path, monkeypatch):
         mio, "open", lambda path, mode: io.BytesIO(p.read_bytes()[:5]), raising=False
     )
     with pytest.raises(FormatError, match="truncated header") as err:
-        read_matrix(p, "bin")
+        read_matrix(p)
     assert err.value.offset == 5
 
 
@@ -116,7 +115,7 @@ def test_bin_read_holds_payload_once(tmp_path):
 def test_csv_read_holds_matrix_once(tmp_path):
     M = rng.standard_normal((500, 500))
     p = tmp_path / "m.csv"
-    write_matrix(M, p, "csv")
+    write_matrix(M, p)
     tracemalloc.start()
     try:
         out = read_matrix(p)
@@ -131,13 +130,13 @@ def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "long.bin"
     p.write_bytes(BIN_MAGIC + struct.pack("<ii", 1, 1) + b"\x00" * 9)
     with pytest.raises(FormatError):
-        read_matrix(p, "bin")
+        read_matrix(p)
 
 
 def test_csv_round_trip_large_matrix(tmp_path):
     M = rng.standard_normal((1000, 1000))
     p = tmp_path / "big.csv"
-    write_matrix(M, p, "csv")
+    write_matrix(M, p)
     out = read_matrix(p)
     assert np.abs(out - M).max() == 0.0
 
@@ -156,7 +155,7 @@ def test_csv_empty_is_format_error(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("")
     with pytest.raises(FormatError):
-        read_matrix(p, "csv")
+        read_matrix(p)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -164,7 +163,7 @@ def test_csv_non_finite_is_format_error(tmp_path, bad):
     p = tmp_path / "nf.csv"
     p.write_text(f"1,2\n3,{bad}\n")
     with pytest.raises(FormatError, match="non-finite value"):
-        read_matrix(p, "csv")
+        read_matrix(p)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6))
@@ -172,7 +171,7 @@ def test_csv_non_finite_is_format_error(tmp_path, bad):
 def test_csv_round_trip_value_exact(tmp_path_factory, vals):
     M = np.array(vals).reshape(1, -1)
     p = tmp_path_factory.mktemp("csv") / "v.csv"
-    write_matrix(M, p, "csv")
+    write_matrix(M, p)
     np.testing.assert_array_equal(read_matrix(p), M)
 
 
@@ -180,45 +179,44 @@ def test_format_sniffing(tmp_path):
     M = rng.standard_normal((3, 3))
     pb = tmp_path / "noext_bin"
     pc = tmp_path / "noext_csv"
-    write_matrix(M, pb, "bin")
-    write_matrix(M, pc, "csv")
+    write_matrix(M, pb)  # a suffix other than .csv writes BIN
+    write_matrix(M, tmp_path / "m.csv")
+    (tmp_path / "m.csv").rename(pc)
     np.testing.assert_array_equal(read_matrix(pb), M)
     np.testing.assert_array_equal(read_matrix(pc), M)
 
 
 def test_frames_to_matrix_layout():
     frame = np.array([[0, 255], [128, 64]], dtype=np.uint8)
-    seq = FrameSequence(frame[None, :, :])
-    D = frames_to_matrix(seq)
+    D = frames_to_matrix(frame[None, :, :])
     np.testing.assert_array_equal(D[:, 0], [0.0, 128.0, 255.0, 64.0])
 
 
 def test_frames_to_matrix_video_scale_shape():
     # 1000 frames of 256x320 stack into an 81920 x 1000 matrix.
-    seq = FrameSequence(np.zeros((1000, 256, 320), dtype=np.uint8))
-    assert frames_to_matrix(seq).shape == (81920, 1000)
+    frames = np.zeros((1000, 256, 320), dtype=np.uint8)
+    assert frames_to_matrix(frames).shape == (81920, 1000)
 
 
 def test_identical_frames_give_rank_one():
     frame = rng.integers(0, 256, size=(6, 5)).astype(np.uint8)
-    seq = FrameSequence(np.stack([frame] * 4))
-    D = frames_to_matrix(seq)
+    D = frames_to_matrix(np.stack([frame] * 4))
     s = np.linalg.svd(D, compute_uv=False)
     assert np.sum(s > 1e-10 * s[0]) == 1
 
 
 def test_frames_matrix_round_trip():
     pixels = rng.integers(0, 256, size=(7, 8, 9)).astype(np.uint8)
-    seq = FrameSequence(pixels)
-    back = matrix_to_frames(frames_to_matrix(seq), width=9, height=8)
-    np.testing.assert_array_equal(back.pixels, pixels)
+    back = matrix_to_frames(frames_to_matrix(pixels), width=9, height=8)
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, pixels)
 
 
 def test_matrix_to_frames_clamps():
     low = matrix_to_frames(np.full((4, 1), -5.0), 2, 2)
-    assert (low.pixels == 0).all()
+    assert (low == 0).all()
     high = matrix_to_frames(np.full((4, 1), 300.7), 2, 2)
-    assert (high.pixels == 255).all()
+    assert (high == 255).all()
 
 
 def test_matrix_to_frames_shape_error():
@@ -228,6 +226,21 @@ def test_matrix_to_frames_shape_error():
 
 def test_pgm_round_trip(tmp_path):
     frame = rng.integers(0, 256, size=(11, 13)).astype(np.uint8)
+    p = tmp_path / "f.pgm"
+    write_pgm(frame, p)
+    np.testing.assert_array_equal(read_pgm(p), frame)
+
+
+@pytest.mark.parametrize("bad", [300.0, -1.0, 1.5])
+def test_pgm_rejects_values_outside_uint8(tmp_path, bad):
+    frame = np.zeros((2, 3))
+    frame[1, 2] = bad
+    with pytest.raises(ValueError, match="integers in 0..255"):
+        write_pgm(frame, tmp_path / "f.pgm")
+
+
+def test_pgm_round_trips_in_range_int64_frame(tmp_path):
+    frame = rng.integers(0, 256, size=(4, 5), dtype=np.int64)
     p = tmp_path / "f.pgm"
     write_pgm(frame, p)
     np.testing.assert_array_equal(read_pgm(p), frame)
@@ -255,9 +268,10 @@ def test_pgm_truncated(tmp_path):
 
 def test_frame_dir_round_trip(tmp_path):
     pixels = rng.integers(0, 256, size=(5, 6, 7)).astype(np.uint8)
-    write_frame_dir(FrameSequence(pixels), tmp_path / "seq")
+    write_frame_dir(pixels, tmp_path / "seq")
     back = read_frame_dir(tmp_path / "seq")
-    np.testing.assert_array_equal(back.pixels, pixels)
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, pixels)
 
 
 def test_frame_dir_dimension_mismatch(tmp_path):

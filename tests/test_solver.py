@@ -477,6 +477,21 @@ def test_fixed_solve_active_first_step_has_no_skip():
     assert trace.converged and trace.steps == list(range(trace.iterations))
 
 
+def test_fixed_solve_zeta0_between_slab_max_and_d_max_runs_every_index():
+    # A spike outside the first draw lifts max |D| above zeta0 while every
+    # slab entry stays below it: step 1 thresholds nothing, but only
+    # zeta0 >= max |D| takes the skip, so every index runs.
+    cfg = SolverConfig(rank=5, zeta0=inf_norm(CORRUPTED.D), max_iter=60, seed=RngSeed(31))
+    gen = cfg.seed.generator()
+    rows = sample_indices(300, sample_count(300, 5, cfg.c_rows), gen)
+    cols = sample_indices(300, sample_count(300, 5, cfg.c_cols), gen)
+    D = CORRUPTED.D.copy()
+    D[np.setdiff1d(np.arange(300), rows.indices)[0],
+      np.setdiff1d(np.arange(300), cols.indices)[0]] = 10.0 * cfg.zeta0
+    trace = assert_matches_every_index_solve(D, cfg)
+    assert trace.steps == list(range(trace.iterations))
+
+
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_zero_slabs_of_a_nonzero_matrix(mode):
     # The only nonzero entry lies outside the first draw, so the sampled
@@ -679,7 +694,8 @@ def test_solve_resampled_redraws_indices():
 
 
 def test_solve_rectangular_matrix():
-    L = gen_low_rank(40, 3, RngSeed(90), n_cols=25)
+    gen = RngSeed(90).generator()
+    L = gen.standard_normal((40, 3)) @ gen.standard_normal((25, 3)).T
     cur, _, trace = solve(L, SolverConfig(rank=3, seed=RngSeed(91)))
     assert trace.converged
     assert frob_norm(cur_eval(cur) - L) <= 1e-5 * frob_norm(L)

@@ -32,9 +32,7 @@ def test_gen_low_rank_deterministic():
     )
 
 
-def test_gen_low_rank_non_square():
-    L = gen_low_rank(12, 2, RngSeed(3), n_cols=7)
-    assert L.shape == (12, 7)
+def test_gen_low_rank_rejects_rank_above_n():
     with pytest.raises(ValueError):
         gen_low_rank(5, 6, RngSeed(3))
 
