@@ -47,6 +47,12 @@ FROB_RESCALE_BELOW = 1e-140
 # (see blocks): four operands of this size stay in a 2 MB L2 cache.
 BLOCK_BYTES = 256 * 1024
 
+# Lines per block of a gather across a matrix's memory order (see
+# submatrix).  Rows I of an F-order D at n=6000, |I| = 174, 2-core machine:
+# 14.0-14.7 ms in one call, 12.4-12.6 ms in blocks of 1024 columns, the best
+# of 256, 512, 1024 and 2048.
+GATHER_LINES = 1024
+
 
 class AllocationMeter:
     """Cumulative allocated-elements counter.
@@ -89,9 +95,16 @@ def require_finite(M: Matrix) -> Matrix:
     return M
 
 
-def frob_norm(M: Matrix) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries (see :func:`diff_norms`)."""
-    return diff_norms(M)[0]
+def frob_norm(
+    A: Matrix, B: Matrix | None = None, with_max: bool = False
+) -> float | tuple[float, float]:
+    """||A - B||_F as a float (B = None means 0), or with ``with_max`` the
+    pair (||A - B||_F, max |A - B|), both from one pass of :func:`diff_norms`.
+
+    ``frob_norm(M)`` is the Frobenius norm of M.
+    """
+    f, peak = diff_norms(A, B, with_max)
+    return (f, peak) if with_max else f
 
 
 def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tuple[float, float]:
@@ -185,15 +198,26 @@ def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
 
     ``rows``/``cols`` may be an IndexSet, a raw index array, or None for
     "all".  Output order follows the selection order.  Out-of-range
-    indices raise IndexError.
+    indices raise IndexError.  A row gather is C-order and a column gather
+    F-order, whatever M's order.  A gather across M's memory order (rows
+    of an F-order M, columns of a C-order one) copies GATHER_LINES lines
+    at a time into the output, so each block's reads stay within fewer
+    pages; the block temporaries add one output's size to the meter.
     """
     if rows is None and cols is None:
         return tracked(M.copy())
-    if rows is None:
-        return tracked(M[:, _index_array(cols)])
-    if cols is None:
-        return tracked(M[_index_array(rows), :])
-    return tracked(M[np.ix_(_index_array(rows), _index_array(cols))])
+    if rows is not None and cols is not None:
+        return tracked(M[np.ix_(_index_array(rows), _index_array(cols))])
+    # A column gather is the transpose of a row gather from M.T.
+    T, idx = (M, _index_array(rows)) if cols is None else (M.T, _index_array(cols))
+    n = T.shape[1]
+    if T.flags.c_contiguous or not T.flags.f_contiguous or n <= GATHER_LINES:
+        out = tracked(T[idx, :])
+    else:
+        out = tracked(np.empty((idx.size, n), dtype=T.dtype))
+        for start in range(0, n, GATHER_LINES):
+            out[:, start:start + GATHER_LINES] = tracked(T[idx, start:start + GATHER_LINES])
+    return out if cols is None else out.T
 
 
 @dataclass

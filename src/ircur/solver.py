@@ -13,12 +13,14 @@ on D and L_k restricted to a handful of sampled rows (I) and columns (J):
 
 then evaluates L_{k+1} on the same slabs for the stopping statistic, the
 relative slab residual (D - S_{k+1}) - L_{k+1}, whose norm comes from one
-blocked pass (:func:`matcore.diff_norms`); iteration stops when it drops
+blocked pass (:func:`matcore.frob_norm`); iteration stops when it drops
 to ``eps``.  Per slab and step that is six slab-sized streams: the
 threshold reads D and L and writes D - S, the norm reads D - S and L, and
-the evaluation writes L.  The D slabs are only read, so the two index
-policies below differ only in when I and J are drawn.  The full n x n
-estimates are never materialized.
+the evaluation writes L.  The denominator den = ||D[I, :]||_F +
+||D[:, J]||_F of that statistic is summed by the first step's threshold
+pass on each draw, from the D blocks it reads anyway.  The D slabs are
+only read, so the two index policies below differ only in when I and J
+are drawn.  The full n x n estimates are never materialized.
 
 L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
 (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
@@ -52,9 +54,9 @@ import numpy as np
 
 from . import matcore
 from .matcore import (
+    FROB_RESCALE_BELOW,
     Matrix,
     PinvFactor,
-    diff_norms,
     frob_norm,
     inf_norm,
     submatrix,
@@ -178,7 +180,9 @@ class SolverTrace:
     allocation (8-byte scalar units) per step as seen by the matcore
     meter: per slab, D - S and two block-sized buffers (threshold and
     residual norm), plus the L evaluation (and, when resampling, the new
-    draw's gathers); no S slab, residual slab or boolean array.
+    draw's gathers, including the block temporaries of a gather across
+    D's memory order, see :func:`matcore.submatrix`); no S slab, residual
+    slab or boolean array.
     sampled_rows/sampled_cols record |I| and |J| per step.
     """
 
@@ -202,16 +206,32 @@ def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
     boolean array of the slab's size is allocated.  The output takes D's
     memory order.  S itself is D - (D - S) (see :class:`SparseEstimate`).
     """
+    return _threshold(D, L, zeta, False)[0]
+
+
+def _threshold(D: Matrix, L: Matrix, zeta: float, norm_d: bool) -> tuple[Matrix, float | None]:
+    """:func:`hard_threshold`, plus ||D||_F when ``norm_d`` (else None).
+
+    The blocks are D's blocks as :func:`matcore.frob_norm` cuts them, and
+    each adds its sum of squares in the same order, so the norm is bitwise
+    ``frob_norm(D)``; where that one rescales, it is taken from it.
+    """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
     rest = tracked(np.empty_like(D))
+    total = 0.0
     for d, l, keep, s in matcore.blocks(D, L, rest, buffer=True):
+        if norm_d:
+            total += float(np.einsum("ij,ij->", d, d))
         np.subtract(d, l, out=s)
         np.abs(s, out=keep)
         np.greater(keep, zeta, out=keep)
         s *= keep
         np.subtract(d, s, out=keep)
-    return rest
+    if not norm_d:
+        return rest, None
+    f = math.sqrt(total)
+    return rest, f if FROB_RESCALE_BELOW <= f < math.inf else frob_norm(D)
 
 
 def threshold_at(config: SolverConfig, k: int) -> float:
@@ -252,7 +272,11 @@ def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows, l_cols)
 @dataclass
 class Slabs:
     """D[I, :], D[:, J], the low-rank estimate L on the same slabs (with
-    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F."""
+    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F.
+
+    den is None until the first :func:`step` on these slabs, whose
+    threshold pass sums it from the D blocks it reads.
+    """
 
     rows: IndexSet
     cols: IndexSet
@@ -260,7 +284,7 @@ class Slabs:
     d_cols: Matrix
     l_rows: Matrix
     l_cols: Matrix
-    den: float
+    den: float | None = None
 
 
 def sample_slabs(
@@ -273,7 +297,6 @@ def sample_slabs(
     """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
-    den = frob_norm(d_rows) + frob_norm(d_cols)
     if cur is None:
         l_rows = tracked(np.zeros_like(d_rows))
         l_cols = tracked(np.zeros_like(d_cols))
@@ -281,7 +304,7 @@ def sample_slabs(
         l_rows = tracked(np.empty_like(d_rows))
         l_cols = tracked(np.empty_like(d_cols))
         _eval_slabs(cur, rows, cols, l_rows, l_cols)
-    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
+    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols)
 
 
 def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
@@ -292,7 +315,8 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     record's L slabs, so a fixed-index caller steps the same record again;
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
-    taken from the D - S slabs that also serve as the new R and C.  The
+    taken from the D - S slabs that also serve as the new R and C; the
+    first step on a draw sets ``slabs.den`` in its threshold pass.  The
     returned :class:`SparseEstimate` holds the D and D - S slabs, so S is
     only formed when read.
     """
@@ -308,8 +332,11 @@ def _step(
     rows, cols = slabs.rows, slabs.cols
 
     # Phase I: sparse slab update, held as the D - S slabs.
-    r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta)
-    c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
+    norm_d = slabs.den is None
+    r_new, d_rows_norm = _threshold(slabs.d_rows, slabs.l_rows, zeta, norm_d)
+    c_new, d_cols_norm = _threshold(slabs.d_cols, slabs.l_cols, zeta, norm_d)
+    if norm_d:
+        slabs.den = d_rows_norm + d_cols_norm
 
     # Phase II: CUR update with rank-truncated core.
     core = submatrix(r_new, None, cols)
@@ -320,10 +347,13 @@ def _step(
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
-    f_rows, m_rows = diff_norms(r_new, slabs.l_rows, idle)
-    f_cols, m_cols = diff_norms(c_new, slabs.l_cols, idle)
+    f_rows = frob_norm(r_new, slabs.l_rows, with_max=idle)
+    f_cols = frob_norm(c_new, slabs.l_cols, with_max=idle)
+    m = None
+    if idle:
+        (f_rows, m_rows), (f_cols, m_cols) = f_rows, f_cols
+        m = max(m_rows, m_cols)
     e = (f_rows + f_cols) / slabs.den if slabs.den else 0.0
-    m = max(m_rows, m_cols) if idle else None
     sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
     return cur, sparse, e, m
 

@@ -67,18 +67,28 @@ def _support_sample(gen: np.random.Generator, total: int, k: int) -> np.ndarray:
 
     Draws with replacement and keeps first appearances until k distinct
     cells are collected; the first k distinct values of an i.i.d. uniform
-    stream form a uniform random k-subset.
+    stream form a uniform random k-subset.  Each round sorts the stream
+    once, by value and then position (the key value * m + position), so
+    the first entry of each run of equal values is its first appearance.
     """
     if k == 0:
         return np.empty(0, dtype=np.int64)
     chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < k:
+    while True:
         short = k - chosen.size
         batch = gen.integers(0, total, size=short + short // 4 + 16)
         merged = np.concatenate([chosen, batch])
-        uniq, first_pos = np.unique(merged, return_index=True)
-        chosen = uniq[np.argsort(first_pos)]
-    return np.sort(chosen[:k])
+        m = merged.size
+        if int(total) * m < 2**63:
+            vals, pos = np.divmod(np.sort(merged * m + np.arange(m)), m)
+            first = np.diff(vals, prepend=-1) != 0  # values are >= 0
+            uniq, first_pos = vals[first], pos[first]
+        else:  # the key would overflow int64
+            uniq, first_pos = np.unique(merged, return_index=True)
+        if uniq.size >= k:
+            # uniq is sorted; keep the values of the k earliest first appearances.
+            return uniq[first_pos <= np.partition(first_pos, k - 1)[k - 1]]
+        chosen = merged[np.sort(first_pos)]  # stream order for the next round
 
 
 def _sparse_parts(

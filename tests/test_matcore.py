@@ -188,6 +188,28 @@ def test_submatrix_out_of_range():
         submatrix(np.eye(3), rows=np.array([3]))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lines", [1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_submatrix_gather_is_bitwise_numpy_indexing(order, lines, axis):
+    # A gather across the memory order runs in blocks of GATHER_LINES lines;
+    # values and memory order must be those of one numpy indexing call, and
+    # the meter counts the block temporaries too.
+    shape = (40, lines) if axis == "rows" else (lines, 40)
+    M = np.asarray(rng.standard_normal(shape), order=order)
+    idx = np.array([7, 0, 39, 7, 12, 25])
+    want = M[idx, :] if axis == "rows" else M[:, idx]
+    before = matcore.ALLOCATIONS.count
+    got = submatrix(M, idx, None) if axis == "rows" else submatrix(M, None, idx)
+    units = matcore.ALLOCATIONS.count - before
+    assert got.tobytes("A") == want.tobytes("A")
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous, want.flags.f_contiguous)
+    across = (axis == "rows") == (order == "F")
+    blocked = across and lines > matcore.GATHER_LINES
+    assert units == (2 if blocked else 1) * want.size
+
+
 def test_truncated_svd_diagonal():
     fac = truncated_svd(np.diag([3.0, 1.0]), 1)
     np.testing.assert_allclose(fac.sigma, [3.0])

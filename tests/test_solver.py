@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,28 @@ def test_sample_slabs_l_slabs_follow_d_slab_order():
             assert s.l_rows.flags.f_contiguous == s.d_rows.flags.f_contiguous
             assert s.l_cols.flags.f_contiguous == s.d_cols.flags.f_contiguous
         assert slabs.d_cols.flags.f_contiguous  # a column gather
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("scale", [1.0, 2.0**520, 2.0**-660], ids=["unit", "2^520", "2^-660"])
+def test_den_comes_from_the_first_threshold_pass(order, scale):
+    # den is bitwise the two frob_norm passes it replaced, on a C-order row
+    # slab and an F-order column slab of several blocks each, also where
+    # the sum of squares overflows (2^520) or underflows (2^-660) and
+    # frob_norm rescales.
+    D = np.asarray(rng.standard_normal((1200, 1100)) * scale, order=order)
+    slabs = sample_slabs(D, sample_indices(1200, 200, RngSeed(68)),
+                         sample_indices(1100, 150, RngSeed(69)))
+    assert slabs.den is None
+    assert min(slabs.d_rows.nbytes, slabs.d_cols.nbytes) > 3 * matcore.BLOCK_BYTES
+    assert slabs.d_rows.flags.c_contiguous and slabs.d_cols.flags.f_contiguous
+    want = frob_norm(slabs.d_rows) + frob_norm(slabs.d_cols)
+    cur, _, _ = step(slabs, 2.0 * scale, 3)
+    assert slabs.den == want and 0.0 < want < math.inf
+    # Later steps on the same draw keep it.
+    step(slabs, scale, 3)
+    assert slabs.den == want
+    assert sample_slabs(D, slabs.rows, slabs.cols, cur).den is None
 
 
 def test_threshold_at_examples():
@@ -635,32 +658,36 @@ def s_writing_hard_threshold(D, L, zeta):
     return S, rest
 
 
-def slab_residual_norms(A, B, with_max):
-    """The residual norms from a slab-sized A - B and a BLAS norm."""
-    res = A - B
+def slab_residual_norms(A, B=None, with_max=False):
+    """frob_norm from a slab-sized A - B and a BLAS norm."""
+    res = A if B is None else A - B
     f = float(np.linalg.norm(res, "fro"))
     if f < matcore.FROB_RESCALE_BELOW and res.any():
         f = inf_norm(res) * float(np.linalg.norm(res / inf_norm(res), "fro"))
-    return f, inf_norm(res) if with_max else 0.0
+    return (f, inf_norm(res)) if with_max else f
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     # The solver with the kernels that wrote S and a residual slab swapped
-    # back in: same schedule, bitwise factors, and S = D - (D - S) equals
-    # the S those kernels wrote.
+    # back in, and den taken by two separate frob_norm passes: same
+    # schedule, bitwise factors, and S = D - (D - S) equals the S those
+    # kernels wrote.
     cases = [(c, alpha, seed) for c, alpha in [(4, .1), (2, .2), (1, .1), (4, .3)]
              for seed in range(2)]
     runs = {}
     for kernels in ("blocked", "s_writing"):
-        written = []
+        written, residuals = [], []
         if kernels == "s_writing":
-            def hard_threshold_writing_s(D, L, zeta):
+            def threshold_writing_s(D, L, zeta, norm_d):
                 S, rest = s_writing_hard_threshold(D, L, zeta)
                 written.append(S)
-                return rest
-            monkeypatch.setattr(solver, "hard_threshold", hard_threshold_writing_s)
-            monkeypatch.setattr(solver, "diff_norms", slab_residual_norms)
+                return rest, matcore.frob_norm(D) if norm_d else None
+            def residual_norms(A, B=None, with_max=False):
+                residuals.append(with_max)
+                return slab_residual_norms(A, B, with_max)
+            monkeypatch.setattr(solver, "_threshold", threshold_writing_s)
+            monkeypatch.setattr(solver, "frob_norm", residual_norms)
         runs[kernels] = []
         for c, alpha, seed in cases:
             inst = make_problem(SyntheticSpec(300, 5, alpha, RngSeed(seed, 92)))
@@ -670,6 +697,9 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
             cur, sparse, trace = solve(inst.D, cfg)
             S = written[-2:] if written else [sparse.row_values, sparse.col_values]
             runs[kernels].append((cur, S, trace))
+    # Both swapped-in kernels ran on both slabs of every step.
+    executed = sum(len(trace.steps) for _, _, trace in runs["s_writing"])
+    assert len(written) == len(residuals) == 2 * executed
     for (cur, S, trace), (ref_cur, ref_S, ref) in zip(runs["blocked"], runs["s_writing"]):
         assert (trace.iterations, trace.steps, trace.converged) == (
             ref.iterations, ref.steps, ref.converged)

@@ -6,6 +6,7 @@ from ircur.sampling import RngSeed, sample_indices
 from ircur.solver import SolverConfig, cur_eval, sample_slabs, solve, step
 from ircur.synth import (
     SyntheticSpec,
+    _support_sample,
     gen_low_rank,
     gen_sparse,
     make_data_matrix,
@@ -71,6 +72,37 @@ def test_gen_sparse_support_is_uniform():
     sigma = np.sqrt(trials * p * (1 - p))
     assert hits.min() >= trials * p - 5 * sigma
     assert hits.max() <= trials * p + 5 * sigma
+
+
+def unique_based_support_sample(gen, total, k):
+    """The support sampler that kept first appearances with np.unique."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < k:
+        short = k - chosen.size
+        batch = gen.integers(0, total, size=short + short // 4 + 16)
+        merged = np.concatenate([chosen, batch])
+        uniq, first_pos = np.unique(merged, return_index=True)
+        chosen = uniq[np.argsort(first_pos)]
+    return np.sort(chosen[:k])
+
+
+@pytest.mark.parametrize("total, k", [
+    (90_000, 9_000), (90_000, 27_000),
+    (90_000, 36_000),  # needs a second round
+    (10, 9), (1, 1), (5, 0),
+    ((2**63 - 1) // 21, 4),  # 21 draws: the largest key fits int64
+    (2**62, 4),  # 21 draws: the key would overflow, so np.unique takes over
+])
+def test_support_sample_matches_the_unique_based_sampler(total, k):
+    for seed in range(3):
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _support_sample(gen, total, k)
+        want = unique_based_support_sample(ref_gen, total, k)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def test_make_problem_is_exact_sum():
