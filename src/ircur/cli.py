@@ -4,8 +4,8 @@ Subcommands
 -----------
 solve             decompose a matrix file, writing C/core/R factors and a
                   trace CSV (k,zeta,e,millis) with one row per executed
-                  step; k is the schedule position, so in fixed mode it
-                  jumps over the skipped repeats of an idle first step
+                  step; k is the schedule position, so it can jump (the
+                  idle-head skip of fixed mode, see ircur.solver)
 phase-transition  success-count grid over sampling constant c and
                   corruption rate alpha; CSV rows c,alpha,successes,trials
 bench             runtime scaling over problem sizes; CSV rows
@@ -37,7 +37,7 @@ from .experiments import (
 from .matcore import pinv_factor
 from .mio import FormatError, read_matrix, write_matrix
 from .sampling import RngSeed
-from .solver import SolverConfig, solve
+from .solver import MODES, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,22 +66,23 @@ def int_list(text: str) -> tuple[int, ...]:
 def _add_solver_flags(
     p: argparse.ArgumentParser, rank_default=5, zeta0=True, sampling=True
 ) -> None:
-    """Register the solver flags; ``zeta0`` / ``sampling`` = False leaves out
-    --zeta0 / --c-rows and --c-cols for commands that set those per trial."""
+    """Register the solver flags, defaulting to SolverConfig's; ``zeta0`` /
+    ``sampling`` = False leaves out --zeta0 / --c-rows and --c-cols (set per trial)."""
+    cfg = SolverConfig(rank=rank_default)
     p.add_argument("--rank", type=int, default=rank_default, help="target rank r")
-    p.add_argument("--eps", type=float, default=1e-5, help="stopping precision")
+    p.add_argument("--eps", type=float, default=cfg.eps, help="stopping precision")
     if zeta0:
-        p.add_argument("--zeta0", type=float, default=None,
+        p.add_argument("--zeta0", type=float, default=cfg.zeta0,
                        help="initial threshold (default: max |D|)")
-    p.add_argument("--gamma", type=float, default=0.65,
+    p.add_argument("--gamma", type=float, default=cfg.gamma,
                    help="threshold decay in (0,1); [0.6,0.9] recommended")
     if sampling:
-        p.add_argument("--c-rows", type=float, default=4.0, help="row sampling constant")
-        p.add_argument("--c-cols", type=float, default=4.0, help="column sampling constant")
-    p.add_argument("--mode", choices=("fixed", "resampled"), default="fixed",
+        p.add_argument("--c-rows", type=float, default=cfg.c_rows, help="row sampling constant")
+        p.add_argument("--c-cols", type=float, default=cfg.c_cols, help="column sampling constant")
+    p.add_argument("--mode", choices=MODES, default=cfg.mode,
                    help="index policy: keep one draw or redraw per iteration")
-    p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--max-iter", type=int, default=cfg.max_iter, help="iteration cap")
+    p.add_argument("--seed", type=int, default=cfg.seed.seed, help="base RNG seed")
 
 
 def _from_flags(build, *args, **kwargs):

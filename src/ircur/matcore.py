@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: norms, submatrix extraction, thin QR,
+"""Dense linear-algebra kernels: norms, row and column gathers, thin QR,
 truncated SVD, and pseudoinverse application.
 
 This is the only module that performs factorizations.  The rank-r core
@@ -39,7 +39,7 @@ RANGE_POWER_STEPS = 2
 RANGE_SEED = 0
 
 # A Frobenius norm at or above this has normal squares in its largest
-# entries; below it diff_norms rescales (entries near 1e-160 lose bits), as
+# entries; below it frob_norm rescales (entries near 1e-160 lose bits), as
 # it does when the sum of squares overflows.
 FROB_RESCALE_BELOW = 1e-140
 
@@ -99,16 +99,7 @@ def frob_norm(
     A: Matrix, B: Matrix | None = None, with_max: bool = False
 ) -> float | tuple[float, float]:
     """||A - B||_F as a float (B = None means 0), or with ``with_max`` the
-    pair (||A - B||_F, max |A - B|), both from one pass of :func:`diff_norms`.
-
-    ``frob_norm(M)`` is the Frobenius norm of M.
-    """
-    f, peak = diff_norms(A, B, with_max)
-    return (f, peak) if with_max else f
-
-
-def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tuple[float, float]:
-    """||A - B||_F and, if ``with_max``, max |A - B| (else 0.0); B = None means 0.
+    pair (||A - B||_F, max |A - B|) from the same pass.
 
     One pass over A's :func:`blocks`: each block of A - B goes to a
     block-sized buffer and its squares are summed there by ``np.einsum``,
@@ -118,8 +109,6 @@ def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tu
     subnormal or zero, and above about 1e154 their sum may overflow, so in
     either case the norm is taken again from (A - B) / max|A - B|.
     """
-    if A.size == 0:
-        return 0.0, 0.0
     total, peak = _block_sums(A, B, 1.0, with_max)
     f = math.sqrt(total)
     if not FROB_RESCALE_BELOW <= f < math.inf:
@@ -127,7 +116,7 @@ def diff_norms(A: Matrix, B: Matrix | None = None, with_max: bool = False) -> tu
             peak = _block_sums(A, B, 1.0, True)[1]
         if peak > 0.0:
             f = peak * math.sqrt(_block_sums(A, B, peak, False)[0])
-    return f, peak
+    return (f, peak) if with_max else f
 
 
 def _block_sums(A: Matrix, B: Matrix | None, scale: float, with_max: bool) -> tuple[float, float]:
@@ -188,28 +177,23 @@ def inf_norm(M: Matrix) -> float:
     return float(max(hi, -lo))
 
 
-def _index_array(sel) -> np.ndarray:
-    # Accepts an IndexSet-like object (``.indices``) or a raw index array.
-    return np.asarray(getattr(sel, "indices", sel), dtype=np.int64)
-
-
 def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
-    """Extract selected rows/columns as a new matrix.
+    """Gather the selected rows or the selected columns of M as a new matrix.
 
-    ``rows``/``cols`` may be an IndexSet, a raw index array, or None for
-    "all".  Output order follows the selection order.  Out-of-range
-    indices raise IndexError.  A row gather is C-order and a column gather
-    F-order, whatever M's order.  A gather across M's memory order (rows
-    of an F-order M, columns of a C-order one) copies GATHER_LINES lines
-    at a time into the output, so each block's reads stay within fewer
-    pages; the block temporaries add one output's size to the meter.
+    Exactly one of ``rows``/``cols`` is an IndexSet or a raw index array,
+    else ValueError.  Output order follows the selection order.
+    Out-of-range indices raise IndexError.  A row gather is C-order and a
+    column gather F-order, whatever M's order.  A gather across M's memory
+    order (rows of an F-order M, columns of a C-order one) copies
+    GATHER_LINES lines at a time into the output, so each block's reads
+    stay within fewer pages; the block temporaries add one output's size
+    to the meter.
     """
-    if rows is None and cols is None:
-        return tracked(M.copy())
-    if rows is not None and cols is not None:
-        return tracked(M[np.ix_(_index_array(rows), _index_array(cols))])
+    if (rows is None) == (cols is None):
+        raise ValueError("submatrix gathers rows or columns: give exactly one of them")
     # A column gather is the transpose of a row gather from M.T.
-    T, idx = (M, _index_array(rows)) if cols is None else (M.T, _index_array(cols))
+    T, sel = (M, rows) if cols is None else (M.T, cols)
+    idx = np.asarray(getattr(sel, "indices", sel), dtype=np.int64)  # IndexSet or array
     n = T.shape[1]
     if T.flags.c_contiguous or not T.flags.f_contiguous or n <= GATHER_LINES:
         out = tracked(T[idx, :])

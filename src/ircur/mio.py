@@ -168,37 +168,37 @@ def write_pgm(frame: np.ndarray, path) -> None:
         fh.write(pixels.tobytes(order="C"))
 
 
+# Whitespace and "#" comment lines, then a PGM header field's digits (maybe none).
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) frame; comments and maxval <= 255 supported."""
     path = Path(path)
     data = path.read_bytes()
     if data[:2] != b"P5":
         raise FormatError("not a binary PGM (missing P5)", path=path, offset=0)
-    pos = 2
-    fields: list[int] = []
-    dims_at = 0
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        m = re.match(rb"\d+", data[pos:])
-        if not m:
-            raise FormatError("malformed PGM header", path=path, offset=pos)
-        dims_at = dims_at or pos
-        fields.append(int(m.group()))
-        pos += m.end()
-    w, h, maxval = fields
+    pos, fields = 2, []
+    for _ in range(3):
+        m = _PGM_FIELD.match(data, pos)
+        if not m[1]:
+            raise FormatError("malformed PGM header", path=path, offset=m.start(1))
+        fields.append(m)
+        pos = m.end()
+    w, h, maxval = (int(m[1]) for m in fields)
     if w == 0 or h == 0:
-        raise FormatError(f"zero frame size {w}x{h}", path=path, offset=dims_at)
+        raise FormatError(f"zero frame size {w}x{h}", path=path, offset=fields[0].start(1))
     if maxval > 255 or maxval < 1:
         raise FormatError(f"unsupported maxval {maxval}", path=path, offset=pos)
-    pos += 1  # single whitespace byte after maxval
+    if not data[pos:pos + 1].isspace():
+        raise FormatError("no whitespace byte after PGM maxval", path=path, offset=pos)
+    pos += 1
     if len(data) - pos < w * h:
         raise FormatError("truncated pixel data", path=path, offset=len(data))
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
+    above = np.flatnonzero(pixels > maxval)
+    if above.size:
+        raise FormatError(f"pixel above maxval {maxval}", path=path, offset=pos + int(above[0]))
     return pixels.reshape((h, w)).copy()
 
 

@@ -35,10 +35,11 @@ While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
 L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, and max |D| from the
 entry scan bounds every slab entry, so :func:`solve` treats step 1 as
-idle when max |D| <= zeta0.  After an idle first step it reads
-m = max |D - L_1| on the slabs from that step's residual pass and jumps
-to the first schedule index whose cutoff lies below m; every step in
-between would repeat step 1.  A zeta0 between the slab maximum and
+idle when max |D| <= zeta0.  It runs that step with ``with_max``, reads
+m = max |D - L_1| on the slabs from its residual pass, and jumps to the
+first schedule index whose cutoff lies below m (capped at max_iter);
+every step in between would repeat step 1 bitwise, so the result equals
+that of running every index.  A zeta0 between the slab maximum and
 max |D| also thresholds nothing at step 1, but runs every index.  A
 ``resampled`` step refits on a new draw, so it runs every index.
 """
@@ -78,7 +79,7 @@ class SolverConfig:
     the ideal initial threshold is the max magnitude of the low-rank part,
     which is unobservable; max |D| dominates it and over-thresholding at
     step 0 is safe because the cutoff decays.  In ``fixed`` mode a
-    zeta0 >= max |D| costs one step, not iterations (see :func:`solve`).
+    zeta0 >= max |D| costs one step, not iterations (see :mod:`ircur.solver`).
     gamma is the decay rate of the threshold schedule; values in
     [0.6, 0.9] are recommended (larger is slower but more robust).
     c_rows / c_cols scale the sampled index counts ceil(c * r * ln(n)).
@@ -175,8 +176,8 @@ class SolverTrace:
     stopping statistic, the slab residual (D - S) - L of :func:`step`.
     ``iterations`` is the schedule position reached: steps[-1] + 1 on
     convergence, else max_iter.  In ``fixed`` mode the skipped indices of
-    an idle head (see :func:`solve`) have no entry; in ``resampled`` mode
-    steps == list(range(iterations)).  ``allocated`` records the
+    an idle head (see :mod:`ircur.solver`) have no entry; in ``resampled``
+    mode steps == list(range(iterations)).  ``allocated`` records the
     allocation (8-byte scalar units) per step as seen by the matcore
     meter: per slab, D - S and two block-sized buffers (threshold and
     residual norm), plus the L evaluation (and, when resampling, the new
@@ -197,21 +198,17 @@ class SolverTrace:
     sampled_cols: list[int] = field(default_factory=list)
 
 
-def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
-    """D - S, where S = D - L with every entry of magnitude <= zeta zeroed.
+def hard_threshold(
+    D: Matrix, L: Matrix, zeta: float, with_norm: bool = False
+) -> Matrix | tuple[Matrix, float]:
+    """D - S, where S = D - L with every entry of magnitude <= zeta zeroed,
+    or with ``with_norm`` the pair (D - S, ||D||_F) from the same pass.
 
     Each block (:func:`matcore.blocks`) computes d - s * keep while it is in
     cache: s = d - l goes to the blocks' shared block-sized buffer, and the
     keep mask is formed as 0.0/1.0 floats in the output, so neither S nor a
     boolean array of the slab's size is allocated.  The output takes D's
     memory order.  S itself is D - (D - S) (see :class:`SparseEstimate`).
-    """
-    return _threshold(D, L, zeta, False)[0]
-
-
-def _threshold(D: Matrix, L: Matrix, zeta: float, norm_d: bool) -> tuple[Matrix, float | None]:
-    """:func:`hard_threshold`, plus ||D||_F when ``norm_d`` (else None).
-
     The blocks are D's blocks as :func:`matcore.frob_norm` cuts them, and
     each adds its sum of squares in the same order, so the norm is bitwise
     ``frob_norm(D)``; where that one rescales, it is taken from it.
@@ -221,15 +218,15 @@ def _threshold(D: Matrix, L: Matrix, zeta: float, norm_d: bool) -> tuple[Matrix,
     rest = tracked(np.empty_like(D))
     total = 0.0
     for d, l, keep, s in matcore.blocks(D, L, rest, buffer=True):
-        if norm_d:
+        if with_norm:
             total += float(np.einsum("ij,ij->", d, d))
         np.subtract(d, l, out=s)
         np.abs(s, out=keep)
         np.greater(keep, zeta, out=keep)
         s *= keep
         np.subtract(d, s, out=keep)
-    if not norm_d:
-        return rest, None
+    if not with_norm:
+        return rest
     f = math.sqrt(total)
     return rest, f if FROB_RESCALE_BELOW <= f < math.inf else frob_norm(D)
 
@@ -307,35 +304,32 @@ def sample_slabs(
     return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols)
 
 
-def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
-    """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e).
+def step(
+    slabs: Slabs, zeta: float, rank: int, with_max: bool = False
+) -> tuple[CurFactors, SparseEstimate, float] | tuple[CurFactors, SparseEstimate, float, float]:
+    """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e),
+    and with ``with_max`` a fourth value m = max |(D - S_{k+1}) - L_{k+1}|
+    on the slabs (for the idle-head skip, see :mod:`ircur.solver`).
 
     S_{k+1} is D - L_k thresholded at ``zeta``; the core H_r([D - S]_{I,J})
     and its pseudoinverse share one SVD.  L_{k+1} is evaluated into the
     record's L slabs, so a fixed-index caller steps the same record again;
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
-    taken from the D - S slabs that also serve as the new R and C; the
-    first step on a draw sets ``slabs.den`` in its threshold pass.  The
-    returned :class:`SparseEstimate` holds the D and D - S slabs, so S is
-    only formed when read.
+    taken from the D - S slabs that also serve as the new R and C, in the
+    residual pass that also gives m; the first step on a draw sets
+    ``slabs.den`` in its threshold pass.  The returned
+    :class:`SparseEstimate` holds the D and D - S slabs, so S is only
+    formed when read.
     """
-    return _step(slabs, zeta, rank)[:3]
-
-
-def _step(
-    slabs: Slabs, zeta: float, rank: int, idle: bool = False
-) -> tuple[CurFactors, SparseEstimate, float, float | None]:
-    """:func:`step`, plus m = max |D - L_{k+1}| on the slabs when ``idle``
-    (the caller knows S_{k+1} = 0), else None.  With S = 0, D - S is D
-    bitwise, so m comes from the residual pass that gives e."""
     rows, cols = slabs.rows, slabs.cols
 
     # Phase I: sparse slab update, held as the D - S slabs.
     norm_d = slabs.den is None
-    r_new, d_rows_norm = _threshold(slabs.d_rows, slabs.l_rows, zeta, norm_d)
-    c_new, d_cols_norm = _threshold(slabs.d_cols, slabs.l_cols, zeta, norm_d)
+    r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta, with_norm=norm_d)
+    c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta, with_norm=norm_d)
     if norm_d:
+        (r_new, d_rows_norm), (c_new, d_cols_norm) = r_new, c_new
         slabs.den = d_rows_norm + d_cols_norm
 
     # Phase II: CUR update with rank-truncated core.
@@ -347,15 +341,13 @@ def _step(
 
     # Stopping statistic on the slabs that produced this iterate.
     _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
-    f_rows = frob_norm(r_new, slabs.l_rows, with_max=idle)
-    f_cols = frob_norm(c_new, slabs.l_cols, with_max=idle)
-    m = None
-    if idle:
+    f_rows = frob_norm(r_new, slabs.l_rows, with_max=with_max)
+    f_cols = frob_norm(c_new, slabs.l_cols, with_max=with_max)
+    if with_max:
         (f_rows, m_rows), (f_cols, m_cols) = f_rows, f_cols
-        m = max(m_rows, m_cols)
     e = (f_rows + f_cols) / slabs.den if slabs.den else 0.0
     sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
-    return cur, sparse, e, m
+    return (cur, sparse, e, max(m_rows, m_cols)) if with_max else (cur, sparse, e)
 
 
 def solve(
@@ -369,12 +361,8 @@ def solve(
     on the sampled slabs, and the iteration trace.  Halts when the sampled
     relative residual reaches ``config.eps`` or after ``config.max_iter``
     iterations (``trace.converged`` is False in the latter case).  In
-    ``fixed`` mode, when zeta0 >= max |D|, step 1 thresholds nothing,
-    L_1 = CUR(D), and the loop continues at the first schedule index whose
-    cutoff lies below m = max |D - L_1| on the slabs (capped at
-    ``max_iter``): every step in between would threshold nothing and
-    repeat step 1 bitwise, so the result equals that of running every
-    index.
+    ``fixed`` mode with zeta0 >= max |D| it skips the schedule indices that
+    would repeat an idle step 1 (see :mod:`ircur.solver`).
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
@@ -418,12 +406,12 @@ def solve(
         # L_0 = 0 and max |D| bounds every slab entry, so step 1 thresholds
         # nothing when max |D| <= zeta.
         idle = k == 0 and cfg.mode == "fixed" and d_max <= zeta
-        cur, sparse, e, m = _step(slabs, zeta, cfg.rank, idle)
+        cur, sparse, e, *peak = step(slabs, zeta, cfg.rank, with_max=idle)
         k_next = k + 1
-        if m is not None and e > cfg.eps:
+        if peak and e > cfg.eps:
             # Step 1 thresholded nothing, so L_1 = CUR(D); a step at any
             # cutoff >= m would threshold nothing and rebuild L_1 bitwise.
-            while k_next < cfg.max_iter and threshold_at(cfg, k_next) >= m:
+            while k_next < cfg.max_iter and threshold_at(cfg, k_next) >= peak[0]:
                 k_next += 1
 
         trace.steps.append(k)

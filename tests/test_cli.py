@@ -95,6 +95,32 @@ def test_phase_transition_flags_reach_solve(tmp_path, solve_configs):
     ]
 
 
+def test_commands_without_solver_flags_use_the_solver_config_defaults(
+    tmp_path, clean_matrix, solve_configs
+):
+    # Each command hands solve SolverConfig's defaults, apart from the
+    # fields it sets itself: the CLI's rank, video's mode, and the zeta0,
+    # sampling constants and seeds of the generated experiments.
+    p, _ = clean_matrix
+    frames, _, _ = make_video(16, 12, 6, RngSeed(4), blob_size=4)
+    write_frame_dir(frames, tmp_path / "frames")
+    main(["solve", str(p), "--out-dir", str(tmp_path / "out")])
+    main(["video", str(tmp_path / "frames"), "--out-dir", str(tmp_path / "sep")])
+    main(["bench", "--sizes", "60", "--out", str(tmp_path / "b.csv")])
+    main(["phase-transition", "--n", "40", "--trials", "1", "--c-grid", "2",
+          "--alpha-grid", "0.1", "--out", str(tmp_path / "p.csv")])
+    base = SolverConfig(rank=5)
+    _, l_inf = make_data_matrix(SyntheticSpec(60, 5, 0.1, RngSeed(0).derive(0, 0)))
+    L = gen_low_rank(40, 5, RngSeed(0).derive(0, 0, 0).generator())
+    assert solve_configs == [
+        base,
+        replace(base, rank=2, mode="resampled"),
+        replace(base, zeta0=2.0 * l_inf, seed=RngSeed(0).derive(0, 1)),
+        replace(base, zeta0=2.0 * inf_norm(L), c_rows=2.0, c_cols=2.0,
+                seed=RngSeed(0).derive(0, 0, 1)),
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--zeta0", "0.001"],
     ["phase-transition", "--zeta0", "1e-9"],

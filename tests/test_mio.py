@@ -259,6 +259,19 @@ def test_pgm_rejects_wide_maxval(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("data,message,offset", [
+    (b"P5\n2 1\n255X\x01\x02", "no whitespace byte after PGM maxval", 10),
+    (b"P5\n2 1\n15\n\x01\xff", "pixel above maxval 15", 11),
+    (b"P5\n2 # c\n", "malformed PGM header", 9),
+], ids=["no_space_after_maxval", "pixel_above_maxval", "missing_field"])
+def test_pgm_malformed_header_or_pixels(tmp_path, data, message, offset):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as err:
+        read_pgm(p)
+    assert err.value.offset == offset
+
+
 def test_pgm_truncated(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n4 4\n255\n\x00\x00")

@@ -575,6 +575,31 @@ def test_step_leaves_the_d_slabs_unchanged():
     assert sparse.row_values.any()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_with_max_adds_the_slab_residual_max(order):
+    # m is max |(D - S) - L_{k+1}| over both slabs, and asking for it
+    # changes nothing else bitwise.  The first step is idle; the second
+    # starts from L_1 at a cutoff some entries pass.
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(94)))
+    D = np.asarray(inst.D, order=order)
+    rows = sample_indices(300, 60, RngSeed(95))
+    cols = sample_indices(300, 60, RngSeed(96))
+    plain, peaked = sample_slabs(D, rows, cols), sample_slabs(D, rows, cols)
+    for zeta in (inf_norm(D), 0.1 * inf_norm(inst.L)):
+        cur, sparse, e = step(plain, zeta, 5)
+        cur_m, sparse_m, e_m, m = step(peaked, zeta, 5, with_max=True)
+        fac, fac_m = cur.core_pinv, cur_m.core_pinv
+        for got, want in [(cur_m.C, cur.C), (cur_m.R, cur.R), (fac_m.W, fac.W),
+                          (fac_m.sigma, fac.sigma), (fac_m.V, fac.V),
+                          (sparse_m.rest_rows, sparse.rest_rows),
+                          (sparse_m.rest_cols, sparse.rest_cols)]:
+            assert got.tobytes() == want.tobytes()
+        assert e_m == e
+        assert m == max(np.max(np.abs(sparse.rest_rows - plain.l_rows)),
+                        np.max(np.abs(sparse.rest_cols - plain.l_cols)))
+    assert sparse.row_values.any()
+
+
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_registers_no_boolean_arrays(mode, monkeypatch):
     dtypes = []
@@ -679,14 +704,14 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     for kernels in ("blocked", "s_writing"):
         written, residuals = [], []
         if kernels == "s_writing":
-            def threshold_writing_s(D, L, zeta, norm_d):
+            def threshold_writing_s(D, L, zeta, with_norm=False):
                 S, rest = s_writing_hard_threshold(D, L, zeta)
                 written.append(S)
-                return rest, matcore.frob_norm(D) if norm_d else None
+                return (rest, matcore.frob_norm(D)) if with_norm else rest
             def residual_norms(A, B=None, with_max=False):
                 residuals.append(with_max)
                 return slab_residual_norms(A, B, with_max)
-            monkeypatch.setattr(solver, "_threshold", threshold_writing_s)
+            monkeypatch.setattr(solver, "hard_threshold", threshold_writing_s)
             monkeypatch.setattr(solver, "frob_norm", residual_norms)
         runs[kernels] = []
         for c, alpha, seed in cases:
