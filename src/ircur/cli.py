@@ -160,8 +160,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_video(args) -> int:
-    run_video(args.frames, args.out_dir, _config(args))
-    return EXIT_OK
+    trace = run_video(args.frames, args.out_dir, _config(args))
+    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_cur2svd(args) -> int:
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; a bad flag value exits 2 as a usage error,
     unreadable, malformed or empty input files exit with EXIT_ERROR, and a
-    solve that stops at --max-iter exits with EXIT_NOT_CONVERGED."""
+    solve or video run that stops at --max-iter exits with EXIT_NOT_CONVERGED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .matcore import inf_norm
-from .mio import frames_to_matrix, matrix_to_frames, read_frame_dir, write_pgm
+from .mio import frames_to_matrix, matrix_to_frames, read_frame_dir, write_frame_dir
 from .sampling import IndexSet
 from .solver import SolverConfig, cur_eval, solve
 from .synth import SyntheticSpec, make_data_matrix, make_problem, success_check
@@ -118,13 +118,9 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     del frames  # D holds the pixels from here on
     cur, _, trace = solve(D, cfg)
     log(
-        f"video: {'converged' if trace.converged else 'stopped'} after "
+        f"video: {'converged' if trace.converged else 'max_iter reached'} after "
         f"{trace.iterations} iterations, e={trace.errors[-1]:.3e}"
     )
-    bg_dir = Path(out_dir) / "background"
-    fg_dir = Path(out_dir) / "foreground"
-    bg_dir.mkdir(parents=True, exist_ok=True)
-    fg_dir.mkdir(parents=True, exist_ok=True)
     for start in range(0, n_frames, VIDEO_CHUNK):
         stop = min(start + VIDEO_CHUNK, n_frames)
         cols = IndexSet(np.arange(start, stop, dtype=np.int64), n_frames)
@@ -133,9 +129,6 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
         peaks = resid.max(axis=0)
         peaks[peaks == 0.0] = 1.0
         fg = resid * (255.0 / peaks)
-        bg_frames = matrix_to_frames(low, width, height)
-        fg_frames = matrix_to_frames(fg, width, height)
-        for t in range(start, stop):
-            write_pgm(bg_frames[t - start], bg_dir / f"frame_{t:05d}.pgm")
-            write_pgm(fg_frames[t - start], fg_dir / f"frame_{t:05d}.pgm")
+        write_frame_dir(matrix_to_frames(low, width, height), Path(out_dir) / "background", start)
+        write_frame_dir(matrix_to_frames(fg, width, height), Path(out_dir) / "foreground", start)
     return trace

@@ -42,11 +42,8 @@ def _sniff_format(path: Path) -> str:
         return "csv"
     if path.suffix.lower() == ".bin":
         return "bin"
-    try:
-        with open(path, "rb") as fh:
-            return "bin" if fh.read(4) == BIN_MAGIC else "csv"
-    except OSError:
-        return "bin"
+    with open(path, "rb") as fh:
+        return "bin" if fh.read(4) == BIN_MAGIC else "csv"
 
 
 def write_matrix(M: Matrix, path) -> None:
@@ -202,12 +199,12 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape((h, w)).copy()
 
 
-def write_frame_dir(frames: np.ndarray, directory) -> None:
+def write_frame_dir(frames: np.ndarray, directory, first: int = 0) -> None:
     """Write each frame of a (frames, height, width) array as
-    ``frame_<index>.pgm`` inside ``directory``."""
+    ``frame_<index>.pgm`` inside ``directory``, indices counting from ``first``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for t, frame in enumerate(frames):
+    for t, frame in enumerate(frames, first):
         write_pgm(frame, directory / f"frame_{t:05d}.pgm")
 
 

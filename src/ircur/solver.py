@@ -26,10 +26,10 @@ L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
 (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
 the core, costing O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).
 
-Two index policies are provided: ``fixed`` keeps I, J for the whole run
-(fastest, minimal data access); ``resampled`` redraws them every iteration
-(more robust to an unlucky draw, slightly more work since each draw
-gathers fresh slabs and evaluates L_k on them).
+Two index policies are provided: ``fixed`` keeps the I, J that step 1
+draws for the whole run (fastest, minimal data access); ``resampled``
+redraws them every iteration (more robust to an unlucky draw, slightly
+more work since each draw gathers fresh slabs and evaluates L_k on them).
 
 While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
@@ -135,10 +135,6 @@ class CurFactors:
         if (self.core_pinv.rows, self.core_pinv.cols) != (self.rows.size, self.cols.size):
             raise ValueError("core factor shape inconsistent with index sets")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows.bound, self.cols.bound)
-
 
 @dataclass
 class SparseEstimate:
@@ -177,13 +173,14 @@ class SolverTrace:
     ``iterations`` is the schedule position reached: steps[-1] + 1 on
     convergence, else max_iter.  In ``fixed`` mode the skipped indices of
     an idle head (see :mod:`ircur.solver`) have no entry; in ``resampled``
-    mode steps == list(range(iterations)).  ``allocated`` records the
-    allocation (8-byte scalar units) per step as seen by the matcore
-    meter: per slab, D - S and two block-sized buffers (threshold and
-    residual norm), plus the L evaluation (and, when resampling, the new
-    draw's gathers, including the block temporaries of a gather across
-    D's memory order, see :func:`matcore.submatrix`); no S slab, residual
-    slab or boolean array.
+    mode steps == list(range(iterations)).  ``seconds`` and ``allocated``
+    cover the step's draw, which is step 1 in both modes and every step
+    in ``resampled``.  ``allocated`` records the allocation (8-byte
+    scalar units) per step as seen by the matcore meter: per slab, D - S
+    and two block-sized buffers (threshold and residual norm), plus the
+    L evaluation (and, on a step that draws, its gathers, including the
+    block temporaries of a gather across D's memory order, see
+    :func:`matcore.submatrix`); no S slab, residual slab or boolean array.
     sampled_rows/sampled_cols record |I| and |J| per step.
     """
 
@@ -229,15 +226,6 @@ def hard_threshold(
         return rest
     f = math.sqrt(total)
     return rest, f if FROB_RESCALE_BELOW <= f < math.inf else frob_norm(D)
-
-
-def threshold_at(config: SolverConfig, k: int) -> float:
-    """Threshold applied at iteration k+1: gamma**k * zeta0."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if config.zeta0 is None:
-        raise ValueError("config.zeta0 is unresolved (None)")
-    return config.gamma**k * config.zeta0
 
 
 def cur_eval(
@@ -360,9 +348,10 @@ def solve(
     Returns the CUR factors of the low-rank estimate, the sparse estimate
     on the sampled slabs, and the iteration trace.  Halts when the sampled
     relative residual reaches ``config.eps`` or after ``config.max_iter``
-    iterations (``trace.converged`` is False in the latter case).  In
-    ``fixed`` mode with zeta0 >= max |D| it skips the schedule indices that
-    would repeat an idle step 1 (see :mod:`ircur.solver`).
+    iterations (``trace.converged`` is False in the latter case).  Step 1
+    draws I and J, as does every ``resampled`` step.  In ``fixed`` mode
+    with zeta0 >= max |D| it skips the schedule indices that would repeat
+    an idle step 1 (see :mod:`ircur.solver`).
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
@@ -378,9 +367,6 @@ def solve(
     gen = cfg.seed.generator()
     m_rows = sample_count(n1, cfg.rank, cfg.c_rows)
     m_cols = sample_count(n2, cfg.rank, cfg.c_cols)
-    rows = sample_indices(n1, m_rows, gen)
-    cols = sample_indices(n2, m_cols, gen)
-    slabs = sample_slabs(D, rows, cols)
 
     if cfg.zeta0 is None:
         # max |D| is 0 only for an all-zero D, where no cutoff thresholds
@@ -388,13 +374,14 @@ def solve(
         cfg = replace(cfg, zeta0=d_max or 1.0)
 
     trace = SolverTrace()
+    cur = sparse = slabs = None
 
     k = 0
     while k < cfg.max_iter:
         t0 = time.perf_counter()
         alloc0 = matcore.ALLOCATIONS.count
 
-        if cfg.mode == "resampled" and k > 0:
+        if slabs is None or cfg.mode == "resampled":
             rows = sample_indices(n1, m_rows, gen)
             cols = sample_indices(n2, m_cols, gen)
             # Free the last draw's slabs (sparse holds its D slabs too)
@@ -402,7 +389,7 @@ def solve(
             slabs = sparse = None
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
-        zeta = threshold_at(cfg, k)
+        zeta = cfg.gamma**k * cfg.zeta0
         # L_0 = 0 and max |D| bounds every slab entry, so step 1 thresholds
         # nothing when max |D| <= zeta.
         idle = k == 0 and cfg.mode == "fixed" and d_max <= zeta
@@ -411,7 +398,7 @@ def solve(
         if peak and e > cfg.eps:
             # Step 1 thresholded nothing, so L_1 = CUR(D); a step at any
             # cutoff >= m would threshold nothing and rebuild L_1 bitwise.
-            while k_next < cfg.max_iter and threshold_at(cfg, k_next) >= peak[0]:
+            while k_next < cfg.max_iter and cfg.gamma**k_next * cfg.zeta0 >= peak[0]:
                 k_next += 1
 
         trace.steps.append(k)

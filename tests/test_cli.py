@@ -207,8 +207,13 @@ def test_solve_corrupt_file_exit_one(tmp_path):
     assert main(["solve", str(p)]) == 1
 
 
-def test_solve_missing_file_exit_one(tmp_path):
-    assert main(["solve", str(tmp_path / "absent.bin")]) == 1
+def test_solve_missing_file_exit_one(tmp_path, capsys):
+    # A path without a suffix is opened to sniff its format; one that cannot
+    # be opened (missing, or a directory) fails there with the same error.
+    for name in ("absent.bin", "absent", "."):
+        assert main(["solve", str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert single_error_line(err) and "[Errno" in err, name
 
 
 def test_solve_max_iter_cap_exit_three(tmp_path):
@@ -342,6 +347,13 @@ def test_phase_transition_csv_deterministic(tmp_path):
         assert 0 <= int(wins) <= int(trials) == 3
 
 
+def test_phase_transition_writes_csv_to_stdout(capsys):
+    argv = ["phase-transition", "--n", "40", "--rank", "2", "--trials", "1",
+            "--c-grid", "2", "--alpha-grid", "0", "--out", "-"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["c,alpha,successes,trials", "2.0,0.0,1,1"]
+
+
 def test_phase_transition_clean_column_always_succeeds(tmp_path):
     cfg = SolverConfig(rank=2, mode="fixed", max_iter=40, seed=RngSeed(7))
     rows = run_phase_transition(phase_trials((1.0, 2.0), (0.0,), 4, 60, cfg))
@@ -401,6 +413,16 @@ def test_video_command(tmp_path, capsys):
     assert bg.shape[0] == 20 and fg.shape[0] == 20
     err = np.abs(bg.astype(float) - background.astype(float)).mean()
     assert err <= 2.0
+
+
+def test_video_max_iter_cap_exit_three(tmp_path, capsys):
+    frames, _, _ = make_video(48, 36, 20, RngSeed(31), blob_size=8)
+    write_frame_dir(frames, tmp_path / "frames")
+    out = tmp_path / "sep"
+    argv = ["video", str(tmp_path / "frames"), "--out-dir", str(out), "--max-iter", "1"]
+    assert main(argv) == 3
+    assert "video: max_iter reached after 1 iterations" in capsys.readouterr().out
+    assert read_frame_dir(out / "foreground").shape[0] == 20
 
 
 def test_video_single_frame_background_is_the_frame(tmp_path):

@@ -92,6 +92,13 @@ def test_dimension_mismatch_raises():
         cur_to_svd(cur.C, cur.core_pinv, cur.R[:1, :])
 
 
+def test_one_dimensional_factor_raises():
+    L = gen_low_rank(12, 2, RngSeed(13))
+    cur = exact_cur(L, 2, seed=14)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        cur_to_svd(cur.C[:, 0], cur.core_pinv, cur.R)
+
+
 def test_cost_scales_linearly_in_ambient_dimension():
     # Allocation grows proportionally to n when the sampled sizes are fixed.
     r = 3

@@ -54,6 +54,19 @@ def test_bad_magic_reports_offset_zero(tmp_path):
     assert err.value.offset == 0
 
 
+def test_negative_dimensions_report_offset_four(tmp_path):
+    p = tmp_path / "neg.bin"
+    p.write_bytes(BIN_MAGIC + struct.pack("<ii", -1, 2))
+    with pytest.raises(FormatError, match="negative dimensions -1x2") as err:
+        read_matrix(p)
+    assert err.value.offset == 4
+
+
+def test_write_matrix_rejects_non_2d(tmp_path):
+    with pytest.raises(ValueError, match="only 2-D"):
+        write_matrix(np.ones(3), tmp_path / "v.bin")
+
+
 def test_truncated_payload_reports_offset(tmp_path):
     p = tmp_path / "short.bin"
     p.write_bytes(BIN_MAGIC + struct.pack("<ii", 2, 2) + b"\x00" * 16)
@@ -166,6 +179,14 @@ def test_csv_non_finite_is_format_error(tmp_path, bad):
         read_matrix(p)
 
 
+def test_csv_unparsable_is_format_error(tmp_path):
+    p = tmp_path / "text.csv"
+    p.write_text("1,a\n")
+    with pytest.raises(FormatError, match="unreadable CSV") as err:
+        read_matrix(p)
+    assert err.value.offset is None
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6))
 @settings(max_examples=30, deadline=None)
 def test_csv_round_trip_value_exact(tmp_path_factory, vals):
@@ -196,6 +217,11 @@ def test_frames_to_matrix_video_scale_shape():
     # 1000 frames of 256x320 stack into an 81920 x 1000 matrix.
     frames = np.zeros((1000, 256, 320), dtype=np.uint8)
     assert frames_to_matrix(frames).shape == (81920, 1000)
+
+
+def test_frames_to_matrix_rejects_non_3d():
+    with pytest.raises(ValueError, match="nonempty"):
+        frames_to_matrix(np.zeros((4, 5), dtype=np.uint8))
 
 
 def test_identical_frames_give_rank_one():
@@ -239,6 +265,11 @@ def test_pgm_rejects_values_outside_uint8(tmp_path, bad):
         write_pgm(frame, tmp_path / "f.pgm")
 
 
+def test_pgm_rejects_non_2d_frame(tmp_path):
+    with pytest.raises(ValueError, match="must be 2-D"):
+        write_pgm(np.zeros((2, 3, 1), dtype=np.uint8), tmp_path / "f.pgm")
+
+
 def test_pgm_round_trips_in_range_int64_frame(tmp_path):
     frame = rng.integers(0, 256, size=(4, 5), dtype=np.int64)
     p = tmp_path / "f.pgm"
@@ -263,7 +294,8 @@ def test_pgm_rejects_wide_maxval(tmp_path):
     (b"P5\n2 1\n255X\x01\x02", "no whitespace byte after PGM maxval", 10),
     (b"P5\n2 1\n15\n\x01\xff", "pixel above maxval 15", 11),
     (b"P5\n2 # c\n", "malformed PGM header", 9),
-], ids=["no_space_after_maxval", "pixel_above_maxval", "missing_field"])
+    (b"P2\n2 1\n255\n1 2\n", "missing P5", 0),
+], ids=["no_space_after_maxval", "pixel_above_maxval", "missing_field", "missing_p5"])
 def test_pgm_malformed_header_or_pixels(tmp_path, data, message, offset):
     p = tmp_path / "m.pgm"
     p.write_bytes(data)
@@ -285,6 +317,15 @@ def test_frame_dir_round_trip(tmp_path):
     back = read_frame_dir(tmp_path / "seq")
     assert back.dtype == np.uint8
     np.testing.assert_array_equal(back, pixels)
+
+
+def test_frame_dir_numbers_from_first(tmp_path):
+    pixels = rng.integers(0, 256, size=(2, 3, 4)).astype(np.uint8)
+    write_frame_dir(pixels, tmp_path / "seq", first=3)
+    assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == [
+        "frame_00003.pgm", "frame_00004.pgm"
+    ]
+    np.testing.assert_array_equal(read_frame_dir(tmp_path / "seq"), pixels)
 
 
 def test_frame_dir_dimension_mismatch(tmp_path):

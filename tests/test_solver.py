@@ -18,7 +18,6 @@ from ircur.solver import (
     sample_slabs,
     solve,
     step,
-    threshold_at,
 )
 from ircur.synth import SyntheticSpec, gen_low_rank, make_problem, success_check
 
@@ -132,19 +131,6 @@ def test_den_comes_from_the_first_threshold_pass(order, scale):
     assert sample_slabs(D, slabs.rows, slabs.cols, cur).den is None
 
 
-def test_threshold_at_examples():
-    cfg = SolverConfig(rank=1, zeta0=1.0, gamma=0.65)
-    assert threshold_at(cfg, 0) == 1.0
-    assert threshold_at(cfg, 2) == pytest.approx(0.4225, rel=1e-15)
-    cfg2 = SolverConfig(rank=1, zeta0=2.0, gamma=0.5)
-    assert threshold_at(cfg2, 10) == 0.001953125  # exact in binary floating point
-
-
-def test_threshold_at_requires_resolved_zeta0():
-    with pytest.raises(ValueError):
-        threshold_at(SolverConfig(rank=1), 0)
-
-
 # ------------------------------------------------------------- CUR evaluation
 
 
@@ -205,6 +191,21 @@ def test_cur_eval_rank_deficient_core_matches_dense_pinv():
             np.testing.assert_allclose(out, expect, atol=1e-10)
     X, Y = g.standard_normal((5, 4)), g.standard_normal((3, 6))
     np.testing.assert_allclose(fac.apply_right(X, Y), X @ U_pinv @ Y, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "part,shape", [("C", (8, 4)), ("R", (3, 6)), ("core", (3, 3))], ids=["C", "R", "core"]
+)
+def test_cur_factors_reject_inconsistent_shapes(part, shape):
+    g = np.random.default_rng(4)
+    parts = {"C": (9, 4), "R": (3, 7), "core": (3, 4)}
+    C, R, core = (g.standard_normal(shape if name == part else parts[name])
+                  for name in ("C", "R", "core"))
+    with pytest.raises(ValueError, match="inconsistent"):
+        CurFactors(
+            C=C, core_pinv=pinv_factor(core), R=R,
+            rows=IndexSet(np.array([1, 4, 6]), 9), cols=IndexSet(np.array([0, 2, 3, 5]), 7),
+        )
 
 
 # ------------------------------------------------- one step: Phase I (sparse)
@@ -372,6 +373,12 @@ def test_solve_rejects_non_finite_input():
         solve(D, SolverConfig(rank=1))
 
 
+@pytest.mark.parametrize("D", [np.ones(4), np.empty((0, 3))], ids=["1-D", "empty"])
+def test_solve_rejects_a_non_matrix(D):
+    with pytest.raises(ValueError, match="nonempty 2-D"):
+        solve(D, SolverConfig(rank=1))
+
+
 def test_solve_max_iter_cap_returns_unconverged():
     inst = make_problem(SyntheticSpec(60, 3, 0.2, RngSeed(33)))
     cfg = SolverConfig(rank=3, max_iter=1, seed=RngSeed(34))
@@ -436,7 +443,7 @@ def every_index_solve(D, cfg):
             rows = sample_indices(n1, m_rows, gen)
             cols = sample_indices(n2, m_cols, gen)
             slabs = sample_slabs(D, rows, cols, cur)
-        cur, sparse, e = step(slabs, threshold_at(cfg, k), cfg.rank)
+        cur, sparse, e = step(slabs, cfg.gamma**k * cfg.zeta0, cfg.rank)
         errors.append(e)
         sizes.append((slabs.rows.size, slabs.cols.size))
         if e <= cfg.eps:
@@ -539,7 +546,7 @@ def test_resampled_solve_runs_every_index():
     trace = assert_matches_every_index_solve(CORRUPTED.D, cfg)
     assert trace.iterations > 1
     assert trace.steps == list(range(trace.iterations))
-    assert trace.thresholds == [threshold_at(cfg, j) for j in trace.steps]
+    assert trace.thresholds == [cfg.gamma**j * cfg.zeta0 for j in trace.steps]
 
 
 def test_solve_matches_public_phase_ops_on_first_iteration():
@@ -669,6 +676,17 @@ def test_steady_fixed_step_allocates_no_s_or_residual_slab():
         trace.allocated, trace.sampled_rows, trace.sampled_cols
     ))[1:]:
         assert alloc < 1.5 * (isize * n + n * jsize)
+
+
+def test_fixed_solve_first_step_counts_its_draw():
+    # Step 1 gathers the D slabs in either mode, so its trace entry holds
+    # at least one slab pair more than a steady step's.
+    n = 2000
+    inst = make_problem(SyntheticSpec(n, 5, 0.1, RngSeed(72)))
+    cfg = SolverConfig(rank=5, max_iter=20, eps=1e-12, seed=RngSeed(73))
+    _, _, trace = solve(inst.D, cfg)
+    isize, jsize = trace.sampled_rows[0], trace.sampled_cols[0]
+    assert trace.allocated[0] - trace.allocated[1] >= isize * n + n * jsize
 
 
 def s_writing_hard_threshold(D, L, zeta):

@@ -146,6 +146,15 @@ def test_synthetic_spec_validation():
         SyntheticSpec(10, 2, 1.0, RngSeed(0))
     with pytest.raises(ValueError):
         SyntheticSpec(10, 2, -0.1, RngSeed(0))
+    with pytest.raises(ValueError, match="no uncorrupted entry"):
+        SyntheticSpec(10, 2, 0.995, RngSeed(0))
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.0])
+def test_gen_sparse_rejects_alpha_outside_unit_interval(alpha):
+    L = gen_low_rank(10, 2, RngSeed(4))
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+        gen_sparse(L, alpha, RngSeed(5))
 
 
 def test_success_check_true_and_false():
