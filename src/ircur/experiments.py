@@ -106,7 +106,9 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
 
     The background is the low-rank estimate clamped to [0, 255]; the
     foreground is |D - background| rescaled to [0, 255] per frame.  Only
-    per-chunk column slices of the estimates are ever materialized.
+    per-chunk column slices of the estimates are ever materialized.  The
+    ``frame_*.pgm`` files already in ``background/`` and ``foreground/``
+    are removed first, so no frame of an earlier run stays; other files stay.
     """
     frames = read_frame_dir(frame_dir)
     n_frames, height, width = frames.shape
@@ -121,6 +123,9 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
         f"video: {'converged' if trace.converged else 'max_iter reached'} after "
         f"{trace.iterations} iterations, e={trace.errors[-1]:.3e}"
     )
+    background, foreground = Path(out_dir) / "background", Path(out_dir) / "foreground"
+    for stale in [*background.glob("frame_*.pgm"), *foreground.glob("frame_*.pgm")]:
+        stale.unlink()
     for start in range(0, n_frames, VIDEO_CHUNK):
         stop = min(start + VIDEO_CHUNK, n_frames)
         cols = IndexSet(np.arange(start, stop, dtype=np.int64), n_frames)
@@ -129,6 +134,6 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
         peaks = resid.max(axis=0)
         peaks[peaks == 0.0] = 1.0
         fg = resid * (255.0 / peaks)
-        write_frame_dir(matrix_to_frames(low, width, height), Path(out_dir) / "background", start)
-        write_frame_dir(matrix_to_frames(fg, width, height), Path(out_dir) / "foreground", start)
+        write_frame_dir(matrix_to_frames(low, width, height), background, start)
+        write_frame_dir(matrix_to_frames(fg, width, height), foreground, start)
     return trace

@@ -114,7 +114,7 @@ def frob_norm(
     if not FROB_RESCALE_BELOW <= f < math.inf:
         if not with_max:
             peak = _block_sums(A, B, 1.0, True)[1]
-        if peak > 0.0:
+        if 0.0 < peak < math.inf:
             f = peak * math.sqrt(_block_sums(A, B, peak, False)[0])
     return (f, peak) if with_max else f
 
@@ -130,9 +130,27 @@ def _block_sums(A: Matrix, B: Matrix | None, scale: float, with_max: bool) -> tu
         if scale != 1.0:
             t = np.divide(t, scale, out=blk[-1])
         total += float(np.einsum("ij,ij->", t, t))
-        if with_max:
-            peak = max(peak, float(np.max(t)), -float(np.min(t)))
+        if with_max:  # np.max, unlike max(), keeps a NaN entry's NaN
+            peak = float(np.max((peak, np.max(t), -np.min(t))))
     return total, peak
+
+
+def frob_ratio(nums, dens) -> float:
+    """(sum of ||A - B||_F over the (A, B) pairs ``nums``) / (sum of ||A||_F
+    over the matrices ``dens``), 0 if the denominator is 0, for norms that
+    leave the float range.
+
+    Every entry is divided by one power of two, 2^(p-1) with max |A| over
+    ``dens`` in [2^(p-1), 2^p), before it is squared.  That division is
+    exact, so the ratio is that of the unscaled norms even where those
+    overflow; :func:`frob_norm`'s rescale by the max itself is not exact and
+    its norm can still overflow.
+    """
+    peak = max(_block_sums(A, None, 1.0, True)[1] for A in dens)
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    num = sum(math.sqrt(_block_sums(A, B, scale, False)[0]) for A, B in nums)
+    den = sum(math.sqrt(_block_sums(A, None, scale, False)[0]) for A in dens)
+    return num / den if den else 0.0
 
 
 def blocks(*arrays: Matrix, buffer: bool = False) -> Iterator[tuple[Matrix, ...]]:

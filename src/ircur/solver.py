@@ -33,15 +33,21 @@ more work since each draw gathers fresh slabs and evaluates L_k on them).
 
 While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
-L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, and max |D| from the
-entry scan bounds every slab entry, so :func:`solve` treats step 1 as
-idle when max |D| <= zeta0.  It runs that step with ``with_max``, reads
+L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, so :func:`solve` scans
+the first draw's two D slabs and treats step 1 as idle exactly when their
+maximum is <= zeta0.  It runs that step with ``with_max``, reads
 m = max |D - L_1| on the slabs from its residual pass, and jumps to the
 first schedule index whose cutoff lies below m (capped at max_iter);
 every step in between would repeat step 1 bitwise, so the result equals
-that of running every index.  A zeta0 between the slab maximum and
-max |D| also thresholds nothing at step 1, but runs every index.  A
-``resampled`` step refits on a new draw, so it runs every index.
+that of running every index.  A ``resampled`` step refits on a new draw,
+so it runs every index.
+
+Only zeta0 = None (max |D|) makes :func:`solve` read all of D.  With zeta0
+given it reads only the slabs it gathers, and it validates each entry it
+reads: a NaN or +-Inf in a draw's D slabs raises ValueError before that
+step's core SVD (in ``fixed`` mode from the slab scan above, on a new
+``resampled`` draw from the threshold pass that sums den).  An entry no
+draw samples is never read, so it cannot change the result.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .matcore import (
     Matrix,
     PinvFactor,
     frob_norm,
+    frob_ratio,
     inf_norm,
     submatrix,
     tracked,
@@ -75,11 +82,12 @@ Observer = Callable[[int, float, "CurFactors", "SparseEstimate", float], None]
 class SolverConfig:
     """All tunables of the solver.
 
-    zeta0 = None means "use max |D|" (1 for an all-zero D) at solve time:
-    the ideal initial threshold is the max magnitude of the low-rank part,
-    which is unobservable; max |D| dominates it and over-thresholding at
-    step 0 is safe because the cutoff decays.  In ``fixed`` mode a
-    zeta0 >= max |D| costs one step, not iterations (see :mod:`ircur.solver`).
+    zeta0 = None means "use max |D|" (1 for an all-zero D) at solve time,
+    the one setting that scans all of D: the ideal initial threshold is the
+    max magnitude of the low-rank part, which is unobservable; max |D|
+    dominates it and over-thresholding at step 0 is safe because the cutoff
+    decays.  In ``fixed`` mode a zeta0 at or above the first draw's slab
+    maximum costs one step, not iterations (see :mod:`ircur.solver`).
     gamma is the decay rate of the threshold schedule; values in
     [0.6, 0.9] are recommended (larger is slower but more robust).
     c_rows / c_cols scale the sampled index counts ceil(c * r * ln(n)).
@@ -208,7 +216,9 @@ def hard_threshold(
     memory order.  S itself is D - (D - S) (see :class:`SparseEstimate`).
     The blocks are D's blocks as :func:`matcore.frob_norm` cuts them, and
     each adds its sum of squares in the same order, so the norm is bitwise
-    ``frob_norm(D)``; where that one rescales, it is taken from it.
+    ``frob_norm(D)``; where that one rescales, it is taken from it.  A NaN
+    or +-Inf in D always sends the sum there, and its max then raises
+    ValueError, so with ``with_norm`` the pass also validates D.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
@@ -225,7 +235,11 @@ def hard_threshold(
     if not with_norm:
         return rest
     f = math.sqrt(total)
-    return rest, f if FROB_RESCALE_BELOW <= f < math.inf else frob_norm(D)
+    if not FROB_RESCALE_BELOW <= f < math.inf:
+        f, peak = frob_norm(D, with_max=True)
+        if not peak < math.inf:  # NaN or +-Inf, before any SVD sees it
+            raise ValueError("matrix contains non-finite entries")
+    return rest, f
 
 
 def cur_eval(
@@ -306,7 +320,8 @@ def step(
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
     taken from the D - S slabs that also serve as the new R and C, in the
     residual pass that also gives m; the first step on a draw sets
-    ``slabs.den`` in its threshold pass.  The returned
+    ``slabs.den`` in its threshold pass.  Where a norm overflows, e comes
+    from :func:`matcore.frob_ratio` instead.  The returned
     :class:`SparseEstimate` holds the D and D - S slabs, so S is only
     formed when read.
     """
@@ -333,7 +348,12 @@ def step(
     f_cols = frob_norm(c_new, slabs.l_cols, with_max=with_max)
     if with_max:
         (f_rows, m_rows), (f_cols, m_cols) = f_rows, f_cols
-    e = (f_rows + f_cols) / slabs.den if slabs.den else 0.0
+    num, den = f_rows + f_cols, slabs.den
+    if num < math.inf and den < math.inf:
+        e = num / den if den else 0.0
+    else:  # a norm overflowed, so num / den would be 0, NaN or inf
+        e = frob_ratio(((r_new, slabs.l_rows), (c_new, slabs.l_cols)),
+                       (slabs.d_rows, slabs.d_cols))
     sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
     return (cur, sparse, e, max(m_rows, m_cols)) if with_max else (cur, sparse, e)
 
@@ -350,8 +370,13 @@ def solve(
     relative residual reaches ``config.eps`` or after ``config.max_iter``
     iterations (``trace.converged`` is False in the latter case).  Step 1
     draws I and J, as does every ``resampled`` step.  In ``fixed`` mode
-    with zeta0 >= max |D| it skips the schedule indices that would repeat
-    an idle step 1 (see :mod:`ircur.solver`).
+    with zeta0 at or above the first draw's slab maximum it skips the
+    schedule indices that would repeat an idle step 1.
+
+    Only zeta0 = None scans all of D, and so rejects any non-finite entry.
+    With zeta0 given, a NaN or +-Inf raises ValueError only where a draw
+    samples it; an entry outside every draw is never read (see
+    :mod:`ircur.solver`).
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
@@ -360,18 +385,17 @@ def solve(
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.size == 0:
         raise ValueError(f"D must be a nonempty 2-D matrix, got shape {D.shape}")
-    d_max = inf_norm(D)  # also rejects non-finite entries, before any gather
     n1, n2 = D.shape
     cfg = config
+    if cfg.zeta0 is None:
+        # The only scan of all of D, which also rejects non-finite entries.
+        # max |D| is 0 only for an all-zero D, where no cutoff thresholds
+        # anything, so any positive zeta0 gives the same result there.
+        cfg = replace(cfg, zeta0=inf_norm(D) or 1.0)
 
     gen = cfg.seed.generator()
     m_rows = sample_count(n1, cfg.rank, cfg.c_rows)
     m_cols = sample_count(n2, cfg.rank, cfg.c_cols)
-
-    if cfg.zeta0 is None:
-        # max |D| is 0 only for an all-zero D, where no cutoff thresholds
-        # anything, so any positive zeta0 gives the same result there.
-        cfg = replace(cfg, zeta0=d_max or 1.0)
 
     trace = SolverTrace()
     cur = sparse = slabs = None
@@ -390,9 +414,10 @@ def solve(
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = cfg.gamma**k * cfg.zeta0
-        # L_0 = 0 and max |D| bounds every slab entry, so step 1 thresholds
-        # nothing when max |D| <= zeta.
-        idle = k == 0 and cfg.mode == "fixed" and d_max <= zeta
+        # L_0 = 0, so step 1 thresholds nothing when the slab maximum is
+        # <= zeta; its scans also reject non-finite slab entries.
+        idle = (k == 0 and cfg.mode == "fixed"
+                and max(inf_norm(slabs.d_rows), inf_norm(slabs.d_cols)) <= zeta)
         cur, sparse, e, *peak = step(slabs, zeta, cfg.rank, with_max=idle)
         k_next = k + 1
         if peak and e > cfg.eps:

@@ -8,11 +8,12 @@ of the realized L (the empirical estimator of E|L_ij|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import Matrix, frob_norm, inf_norm
+from .matcore import Matrix, frob_norm, frob_ratio, inf_norm
 from .sampling import RngSeed
 from .solver import CurFactors, cur_eval
 
@@ -144,12 +145,15 @@ def success_check(cur: CurFactors, L_true: Matrix) -> bool:
     """True iff the materialized low-rank estimate is within SUCCESS_TOL
     relative Frobenius error of L_true (absolute error if L_true == 0).
 
-    Test-scale only: materializes the CUR product.
+    Test-scale only: materializes the CUR product.  Where a norm overflows,
+    the ratio is taken on one power-of-two scale (:func:`matcore.frob_ratio`).
     """
     err = frob_norm(cur_eval(cur) - L_true)
     base = frob_norm(L_true)
     if base == 0.0:
         return err <= SUCCESS_TOL
+    if not (err < math.inf and base < math.inf):
+        return frob_ratio(((cur_eval(cur), L_true),), (L_true,)) <= SUCCESS_TOL
     return err / base <= SUCCESS_TOL
 
 

@@ -425,6 +425,21 @@ def test_video_max_iter_cap_exit_three(tmp_path, capsys):
     assert read_frame_dir(out / "foreground").shape[0] == 20
 
 
+def test_video_rerun_into_one_out_dir_leaves_only_its_frames(tmp_path):
+    frames, _, _ = make_video(32, 24, 20, RngSeed(31), blob_size=6)
+    write_frame_dir(frames, tmp_path / "long")
+    write_frame_dir(frames[:12], tmp_path / "short")
+    out = tmp_path / "sep"
+    (out / "background").mkdir(parents=True)
+    (out / "background" / "notes.txt").write_text("kept")
+    for name in ("long", "short"):
+        assert main(["video", str(tmp_path / name), "--out-dir", str(out)]) == 0
+    for part in ("background", "foreground"):
+        assert len(list((out / part).glob("frame_*.pgm"))) == 12
+        assert read_frame_dir(out / part).shape[0] == 12
+    assert (out / "background" / "notes.txt").read_text() == "kept"
+
+
 def test_video_single_frame_background_is_the_frame(tmp_path):
     rng = np.random.default_rng(5)
     frame = rng.integers(0, 256, size=(24, 32)).astype(np.uint8)

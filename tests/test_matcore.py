@@ -10,6 +10,7 @@ from ircur.matcore import (
     PinvFactor,
     SvdFactors,
     frob_norm,
+    frob_ratio,
     inf_norm,
     pinv_factor,
     qr_thin,
@@ -141,6 +142,30 @@ def test_diff_norms_tiny_entries_take_the_rescale_path(orders):
     assert frob_norm(A0 * scale, B0 * scale) == f
     assert frob_norm(B0 * scale, B0 * scale, with_max=True) == (0.0, 0.0)
     assert frob_norm(B0 * scale, B0 * scale) == 0.0
+
+
+@pytest.mark.parametrize("orders", ["CC", "FC"])
+@pytest.mark.parametrize("where", [(1, 2), (-2, -3)], ids=["first_block", "last_block"])
+def test_frob_norm_max_is_nan_or_inf_for_a_non_finite_entry(orders, where):
+    A, B = multi_block(orders[0]), multi_block(orders[1])
+    for bad in (np.nan, np.inf, -np.inf):
+        A[where] = bad
+        f, m = frob_norm(A, B, with_max=True)
+        assert (np.isnan(f) and np.isnan(m)) if np.isnan(bad) else f == m == np.inf
+
+
+@pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
+def test_frob_ratio_is_the_unscaled_ratio_where_the_norms_overflow(orders):
+    # Entries near 1e307: every norm is inf, but a power-of-two scale is
+    # exact, so the ratio is bitwise that of the unscaled matrices.
+    A, B, C = multi_block(orders[0]), multi_block(orders[1]), multi_block(orders[0])
+    ratio = frob_ratio(((A, B), (C, None)), (A, C))
+    big = [np.ldexp(M, 1020) for M in (A, B, C)]
+    assert frob_norm(big[0]) == frob_norm(big[0], big[1]) == np.inf
+    assert frob_ratio(((big[0], big[1]), (big[2], None)), (big[0], big[2])) == ratio
+    plain = (frob_norm(A, B) + frob_norm(C)) / (frob_norm(A) + frob_norm(C))
+    assert ratio == pytest.approx(plain, rel=1e-13, abs=0.0)
+    assert frob_ratio(((A, B),), (np.zeros_like(A),)) == 0.0
 
 
 @pytest.mark.parametrize("orders", ["CC", "FC"])

@@ -507,19 +507,81 @@ def test_fixed_solve_active_first_step_has_no_skip():
     assert trace.converged and trace.steps == list(range(trace.iterations))
 
 
-def test_fixed_solve_zeta0_between_slab_max_and_d_max_runs_every_index():
-    # A spike outside the first draw lifts max |D| above zeta0 while every
-    # slab entry stays below it: step 1 thresholds nothing, but only
-    # zeta0 >= max |D| takes the skip, so every index runs.
-    cfg = SolverConfig(rank=5, zeta0=inf_norm(CORRUPTED.D), max_iter=60, seed=RngSeed(31))
+def solve_draws(cfg, shape, count):
+    """The first ``count`` (I, J) draws of ``solve`` on a ``shape`` matrix."""
     gen = cfg.seed.generator()
-    rows = sample_indices(300, sample_count(300, 5, cfg.c_rows), gen)
-    cols = sample_indices(300, sample_count(300, 5, cfg.c_cols), gen)
+    m_rows = sample_count(shape[0], cfg.rank, cfg.c_rows)
+    m_cols = sample_count(shape[1], cfg.rank, cfg.c_cols)
+    return [(sample_indices(shape[0], m_rows, gen), sample_indices(shape[1], m_cols, gen))
+            for _ in range(count)]
+
+
+def first_outside(sets, among=np.arange(300)):
+    """The first of the indices ``among`` that none of the IndexSets ``sets`` holds."""
+    return np.setdiff1d(among, np.concatenate([np.empty(0, np.int64), *(s.indices for s in sets)]))[0]
+
+
+def test_fixed_solve_zeta0_between_slab_max_and_d_max_skips_the_idle_head():
+    # A spike outside the first draw lifts max |D| above zeta0 while every
+    # slab entry stays below it: step 1 thresholds nothing, and the skip,
+    # decided from the slab maximum, is taken with every index's result.
+    cfg = SolverConfig(rank=5, zeta0=inf_norm(CORRUPTED.D), max_iter=60, seed=RngSeed(31))
+    [(rows, cols)] = solve_draws(cfg, CORRUPTED.D.shape, 1)
     D = CORRUPTED.D.copy()
-    D[np.setdiff1d(np.arange(300), rows.indices)[0],
-      np.setdiff1d(np.arange(300), cols.indices)[0]] = 10.0 * cfg.zeta0
+    D[first_outside([rows]), first_outside([cols])] = 10.0 * cfg.zeta0
     trace = assert_matches_every_index_solve(D, cfg)
-    assert trace.steps == list(range(trace.iterations))
+    assert trace.steps[0] == 0 and trace.steps[1] > 1
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_scans_all_of_d_only_for_the_default_zeta0(mode, monkeypatch):
+    shapes = []
+
+    def spy(M):
+        shapes.append(M.shape)
+        return inf_norm(M)
+
+    monkeypatch.setattr(solver, "inf_norm", spy)
+    monkeypatch.setattr(matcore, "inf_norm", spy)
+    D = CORRUPTED.D
+    for zeta0, full_scans in ((2.0 * inf_norm(CORRUPTED.L), 0), (None, 1)):
+        shapes.clear()
+        solve(D, SolverConfig(rank=5, zeta0=zeta0, mode=mode, max_iter=5, seed=RngSeed(31)))
+        assert shapes.count(D.shape) == full_scans, zeta0
+        # A fixed solve scans its first draw's two slabs; resampled scans none.
+        assert len(shapes) - full_scans == (2 if mode == "fixed" else 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode,draw", [("fixed", 0), ("resampled", 1)])
+def test_solve_rejects_a_non_finite_entry_in_a_sampled_slab(mode, draw, bad):
+    # The entry lies in draw ``draw``'s row slab and outside every earlier
+    # draw, so only that draw's slabs can see it.
+    cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(CORRUPTED.L), mode=mode, seed=RngSeed(31))
+    *earlier, (rows, _) = solve_draws(cfg, CORRUPTED.D.shape, draw + 1)
+    D = CORRUPTED.D.copy()
+    D[first_outside([r for r, _ in earlier], rows.indices),
+      first_outside([c for _, c in earlier])] = bad
+    seen = []
+    with pytest.raises(ValueError, match="non-finite entries") as info:
+        solve(D, cfg, observer=lambda k, *_: seen.append(k))
+    assert type(info.value) is ValueError  # not numpy's LinAlgError from an SVD
+    assert seen == list(range(1, draw + 1))
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_solve_with_zeta0_reads_no_entry_outside_its_draws(mode):
+    # A NaN that no draw samples is never read, so it cannot be rejected,
+    # and the factors come from the finite slabs alone.
+    cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(CORRUPTED.L), mode=mode, max_iter=3,
+                       seed=RngSeed(31))
+    draws = solve_draws(cfg, CORRUPTED.D.shape, 1 if mode == "fixed" else cfg.max_iter)
+    D = CORRUPTED.D.copy()
+    D[first_outside([r for r, _ in draws]), first_outside([c for _, c in draws])] = np.nan
+    cur, _, trace = solve(D, cfg)
+    assert len(trace.steps) >= 1
+    assert np.isfinite(cur.C).all() and np.isfinite(cur.R).all()
+    assert np.isfinite(cur.core_pinv.sigma).all()
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
@@ -802,13 +864,16 @@ def test_solve_tiny_matrices():
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_recovers_at_extreme_scales(mode):
     # At 2**520 the range finder's M (M^T Q) and the slab sums of squares
-    # overflow; at 2**-660 they underflow.  Both scales are exact.
+    # overflow; at 2**-660 they underflow; at 2**1015 the slab norms
+    # themselves overflow, so e and success_check need one common scale.
+    # All three scales are exact, so the unscaled L is an overflow-free oracle.
     inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
-    for power in (520, -660):
+    for power in (520, -660, 1015):
         D, L = np.ldexp(inst.D, power), np.ldexp(inst.L, power)
         cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
         cur, _, trace = solve(D, cfg)
-        assert trace.converged and success_check(cur, L), power
+        oracle = frob_norm(np.ldexp(cur_eval(cur), -power) - inst.L) <= 1e-3 * frob_norm(inst.L)
+        assert oracle and trace.converged and success_check(cur, L), power
 
 
 def test_solver_config_validation():

@@ -168,6 +168,18 @@ def test_success_check_true_and_false():
     assert success_check(zero, np.zeros((15, 15)))  # absolute mode
 
 
+def test_success_check_where_the_norms_overflow():
+    # At 2**1015 ||L||_F overflows, so err / base would read 0.  An estimate
+    # 5% off must still fail and an exact one pass.
+    L = np.ldexp(make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3))).L, 1015)
+    assert frob_norm(L) == np.inf
+    rows = sample_indices(300, 60, RngSeed(20))
+    cols = sample_indices(300, 60, RngSeed(21))
+    for factor, ok in ((1.0, True), (1.05, False)):
+        cur, _, _ = step(sample_slabs(factor * L, rows, cols), inf_norm(factor * L), 5)
+        assert success_check(cur, L) is ok, factor
+
+
 def test_make_video_shapes_and_ground_truth():
     frames, background, boxes = make_video(80, 60, 12, RngSeed(22))
     assert frames.shape == (12, 60, 80)
