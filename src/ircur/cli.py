@@ -244,15 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; a bad flag value exits 2 as a usage error,
-    unreadable, malformed or empty input files exit with EXIT_ERROR, and a
-    solve or video run that stops at --max-iter exits with EXIT_NOT_CONVERGED."""
+    unreadable, malformed or empty input files and a ValueError from the
+    solve (a NaN or +-Inf it samples, a core beyond the float range) exit
+    with EXIT_ERROR, and a solve or video run that stops at --max-iter exits
+    with EXIT_NOT_CONVERGED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:  # from _from_flags
         parser.error(str(exc))
-    except (FormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -251,7 +251,9 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
     a power of two scales every entry exactly, so W, V and sigma are
     bitwise those of the unscaled path wherever its products neither
     overflow nor underflow.  Smaller matrices (and every ``pinv_factor``,
-    where r = min(M.shape)) take an exact dense SVD.
+    where r = min(M.shape)) take an exact dense SVD.  A singular value
+    beyond the float range (M's entries near it) raises ValueError on
+    either path.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -260,7 +262,7 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         tracked(U), tracked(s), tracked(Vt)
         k = min(r, s.size)
-        return SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T)
+        return _finite_sigma(SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T))
     # max and min, not inf_norm: the benchmark counts inf_norm as an entry scan.
     shift = -math.frexp(max(float(M.max()), -float(M.min())))[1]  # 0 for M == 0
     M = tracked(np.ldexp(M, shift))
@@ -272,8 +274,15 @@ def truncated_svd(M: Matrix, r: int) -> SvdFactors:
     Q = tracked(np.linalg.qr(Y)[0])
     w, s, Vt = np.linalg.svd(tracked(Q.T @ M), full_matrices=False)
     tracked(w), tracked(s), tracked(Vt)
-    np.ldexp(s, -shift, out=s)
-    return SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T)
+    with np.errstate(over="ignore"):  # an overflow is an inf, rejected below
+        np.ldexp(s, -shift, out=s)
+    return _finite_sigma(SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T))
+
+
+def _finite_sigma(fac: SvdFactors) -> SvdFactors:
+    if not np.isfinite(fac.sigma).all():
+        raise ValueError("singular values overflow the float range")
+    return fac
 
 
 @dataclass

@@ -17,10 +17,10 @@ blocked pass (:func:`matcore.frob_norm`); iteration stops when it drops
 to ``eps``.  Per slab and step that is six slab-sized streams: the
 threshold reads D and L and writes D - S, the norm reads D - S and L, and
 the evaluation writes L.  The denominator den = ||D[I, :]||_F +
-||D[:, J]||_F of that statistic is summed by the first step's threshold
-pass on each draw, from the D blocks it reads anyway.  The D slabs are
-only read, so the two index policies below differ only in when I and J
-are drawn.  The full n x n estimates are never materialized.
+||D[:, J]||_F of that statistic is taken once per draw, by
+:func:`sample_slabs`.  The D slabs are only read, so the two index
+policies below differ only in when I and J are drawn.  The full n x n
+estimates are never materialized.
 
 L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
 (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
@@ -44,10 +44,9 @@ so it runs every index.
 
 Only zeta0 = None (max |D|) makes :func:`solve` read all of D.  With zeta0
 given it reads only the slabs it gathers, and it validates each entry it
-reads: a NaN or +-Inf in a draw's D slabs raises ValueError before that
-step's core SVD (in ``fixed`` mode from the slab scan above, on a new
-``resampled`` draw from the threshold pass that sums den).  An entry no
-draw samples is never read, so it cannot change the result.
+reads: a NaN or +-Inf in a draw's D slabs raises ValueError from
+:func:`sample_slabs`, in either mode, before any step on that draw.  An
+entry no draw samples is never read, so it cannot change the result.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ import numpy as np
 
 from . import matcore
 from .matcore import (
-    FROB_RESCALE_BELOW,
     Matrix,
     PinvFactor,
     frob_norm,
@@ -203,43 +201,25 @@ class SolverTrace:
     sampled_cols: list[int] = field(default_factory=list)
 
 
-def hard_threshold(
-    D: Matrix, L: Matrix, zeta: float, with_norm: bool = False
-) -> Matrix | tuple[Matrix, float]:
-    """D - S, where S = D - L with every entry of magnitude <= zeta zeroed,
-    or with ``with_norm`` the pair (D - S, ||D||_F) from the same pass.
+def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
+    """D - S, where S = D - L with every entry of magnitude <= zeta zeroed.
 
     Each block (:func:`matcore.blocks`) computes d - s * keep while it is in
     cache: s = d - l goes to the blocks' shared block-sized buffer, and the
     keep mask is formed as 0.0/1.0 floats in the output, so neither S nor a
     boolean array of the slab's size is allocated.  The output takes D's
     memory order.  S itself is D - (D - S) (see :class:`SparseEstimate`).
-    The blocks are D's blocks as :func:`matcore.frob_norm` cuts them, and
-    each adds its sum of squares in the same order, so the norm is bitwise
-    ``frob_norm(D)``; where that one rescales, it is taken from it.  A NaN
-    or +-Inf in D always sends the sum there, and its max then raises
-    ValueError, so with ``with_norm`` the pass also validates D.
     """
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
     rest = tracked(np.empty_like(D))
-    total = 0.0
     for d, l, keep, s in matcore.blocks(D, L, rest, buffer=True):
-        if with_norm:
-            total += float(np.einsum("ij,ij->", d, d))
         np.subtract(d, l, out=s)
         np.abs(s, out=keep)
         np.greater(keep, zeta, out=keep)
         s *= keep
         np.subtract(d, s, out=keep)
-    if not with_norm:
-        return rest
-    f = math.sqrt(total)
-    if not FROB_RESCALE_BELOW <= f < math.inf:
-        f, peak = frob_norm(D, with_max=True)
-        if not peak < math.inf:  # NaN or +-Inf, before any SVD sees it
-            raise ValueError("matrix contains non-finite entries")
-    return rest, f
+    return rest
 
 
 def cur_eval(
@@ -272,9 +252,6 @@ def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows, l_cols)
 class Slabs:
     """D[I, :], D[:, J], the low-rank estimate L on the same slabs (with
     bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F.
-
-    den is None until the first :func:`step` on these slabs, whose
-    threshold pass sums it from the D blocks it reads.
     """
 
     rows: IndexSet
@@ -283,19 +260,26 @@ class Slabs:
     d_cols: Matrix
     l_rows: Matrix
     l_cols: Matrix
-    den: float | None = None
+    den: float
 
 
 def sample_slabs(
     D: Matrix, rows: IndexSet, cols: IndexSet, cur: CurFactors | None = None
 ) -> Slabs:
-    """Gather D on rows/cols and evaluate ``cur`` there (L = 0 if None).
+    """Gather D on rows/cols, take den, and evaluate ``cur`` there (L = 0 if None).
 
-    Each L slab takes the memory order of its D slab (a column gather is
-    F-order), so the slab passes of :func:`step` read both contiguously.
+    Every draw of :func:`solve` comes through here, and so does its check:
+    den is not finite when a D slab holds a NaN or +-Inf, which
+    :func:`matcore.inf_norm` then rejects with ValueError, or when a norm
+    overflows, which :func:`step` handles.  Each L slab takes the memory
+    order of its D slab (a column gather is F-order), so the slab passes of
+    :func:`step` read both contiguously.
     """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
+    den = frob_norm(d_rows) + frob_norm(d_cols)
+    if not den < math.inf:  # a NaN or +-Inf raises here; else a norm overflowed
+        inf_norm(d_rows), inf_norm(d_cols)
     if cur is None:
         l_rows = tracked(np.zeros_like(d_rows))
         l_cols = tracked(np.zeros_like(d_cols))
@@ -303,7 +287,7 @@ def sample_slabs(
         l_rows = tracked(np.empty_like(d_rows))
         l_cols = tracked(np.empty_like(d_cols))
         _eval_slabs(cur, rows, cols, l_rows, l_cols)
-    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols)
+    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 
 def step(
@@ -319,21 +303,16 @@ def step(
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
     taken from the D - S slabs that also serve as the new R and C, in the
-    residual pass that also gives m; the first step on a draw sets
-    ``slabs.den`` in its threshold pass.  Where a norm overflows, e comes
-    from :func:`matcore.frob_ratio` instead.  The returned
+    residual pass that also gives m, and den = ``slabs.den``.  Where a norm
+    overflows, e comes from :func:`matcore.frob_ratio` instead.  The returned
     :class:`SparseEstimate` holds the D and D - S slabs, so S is only
     formed when read.
     """
     rows, cols = slabs.rows, slabs.cols
 
     # Phase I: sparse slab update, held as the D - S slabs.
-    norm_d = slabs.den is None
-    r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta, with_norm=norm_d)
-    c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta, with_norm=norm_d)
-    if norm_d:
-        (r_new, d_rows_norm), (c_new, d_cols_norm) = r_new, c_new
-        slabs.den = d_rows_norm + d_cols_norm
+    r_new = hard_threshold(slabs.d_rows, slabs.l_rows, zeta)
+    c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
 
     # Phase II: CUR update with rank-truncated core.
     core = submatrix(r_new, None, cols)
@@ -375,8 +354,10 @@ def solve(
 
     Only zeta0 = None scans all of D, and so rejects any non-finite entry.
     With zeta0 given, a NaN or +-Inf raises ValueError only where a draw
-    samples it; an entry outside every draw is never read (see
-    :mod:`ircur.solver`).
+    samples it, when :func:`sample_slabs` gathers that draw; an entry
+    outside every draw is never read (see :mod:`ircur.solver`).  A core
+    whose singular values overflow the float range raises ValueError from
+    :func:`matcore.truncated_svd`.
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,
@@ -414,8 +395,7 @@ def solve(
             slabs = sample_slabs(D, rows, cols, cur)
         cur = sparse = None  # free the last iterate before step builds the next
         zeta = cfg.gamma**k * cfg.zeta0
-        # L_0 = 0, so step 1 thresholds nothing when the slab maximum is
-        # <= zeta; its scans also reject non-finite slab entries.
+        # L_0 = 0, so step 1 thresholds nothing when the slab maximum is <= zeta.
         idle = (k == 0 and cfg.mode == "fixed"
                 and max(inf_norm(slabs.d_rows), inf_norm(slabs.d_cols)) <= zeta)
         cur, sparse, e, *peak = step(slabs, zeta, cfg.rank, with_max=idle)

@@ -216,6 +216,21 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         assert single_error_line(err) and "[Errno" in err, name
 
 
+def test_solve_core_beyond_the_float_range_exits_one(tmp_path, capsys):
+    # At 2^1018 the core's singular values overflow: an error, not a
+    # "converged" run with wrong factors.
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
+    p = tmp_path / "huge.bin"
+    write_matrix(np.ldexp(inst.D, 1018), p)
+    for mode in ("fixed", "resampled"):
+        out = tmp_path / mode
+        assert main(["solve", str(p), "--rank", "5", "--mode", mode, "--seed", "1",
+                     "--out-dir", str(out)]) == 1, mode
+        err = capsys.readouterr().err
+        assert single_error_line(err) and "singular values overflow" in err, mode
+        assert not out.exists()
+
+
 def test_solve_max_iter_cap_exit_three(tmp_path):
     inst = make_problem(SyntheticSpec(60, 3, 0.2, RngSeed(21)))
     p = tmp_path / "hard.bin"

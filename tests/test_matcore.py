@@ -274,6 +274,14 @@ def test_truncated_svd_rejects_bad_rank():
         truncated_svd(np.eye(2), 0)
 
 
+@pytest.mark.parametrize("n", [10, 40], ids=["exact", "range_finder"])
+def test_truncated_svd_rejects_singular_values_beyond_the_float_range(n):
+    # Every entry is finite, but sigma_1 = n * 1.5e308 is not.
+    assert (2 * (2 + matcore.RANGE_OVERSAMPLE) <= n) == (n == 40)
+    with pytest.raises(ValueError, match="singular values overflow"):
+        truncated_svd(np.full((n, n), 1.5e308), 2)
+
+
 def exact_truncated_svd(M, r):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return SvdFactors(W=U[:, :r], sigma=s[:r], V=Vt[:r].T)

@@ -111,24 +111,24 @@ def test_sample_slabs_l_slabs_follow_d_slab_order():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("scale", [1.0, 2.0**520, 2.0**-660], ids=["unit", "2^520", "2^-660"])
-def test_den_comes_from_the_first_threshold_pass(order, scale):
-    # den is bitwise the two frob_norm passes it replaced, on a C-order row
-    # slab and an F-order column slab of several blocks each, also where
-    # the sum of squares overflows (2^520) or underflows (2^-660) and
-    # frob_norm rescales.
+def test_den_is_taken_at_the_draw(order, scale):
+    # den is bitwise the two frob_norm passes over the D slabs, taken when
+    # the draw is gathered, with or without an L to evaluate there, on a
+    # C-order row slab and an F-order column slab of several blocks each,
+    # also where the sum of squares overflows (2^520) or underflows
+    # (2^-660) and frob_norm rescales.
     D = np.asarray(rng.standard_normal((1200, 1100)) * scale, order=order)
     slabs = sample_slabs(D, sample_indices(1200, 200, RngSeed(68)),
                          sample_indices(1100, 150, RngSeed(69)))
-    assert slabs.den is None
     assert min(slabs.d_rows.nbytes, slabs.d_cols.nbytes) > 3 * matcore.BLOCK_BYTES
     assert slabs.d_rows.flags.c_contiguous and slabs.d_cols.flags.f_contiguous
     want = frob_norm(slabs.d_rows) + frob_norm(slabs.d_cols)
-    cur, _, _ = step(slabs, 2.0 * scale, 3)
     assert slabs.den == want and 0.0 < want < math.inf
-    # Later steps on the same draw keep it.
+    # Steps on the same draw keep it.
+    cur, _, _ = step(slabs, 2.0 * scale, 3)
     step(slabs, scale, 3)
     assert slabs.den == want
-    assert sample_slabs(D, slabs.rows, slabs.cols, cur).den is None
+    assert sample_slabs(D, slabs.rows, slabs.cols, cur).den == want
 
 
 # ------------------------------------------------------------- CUR evaluation
@@ -553,20 +553,30 @@ def test_solve_scans_all_of_d_only_for_the_default_zeta0(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("mode,draw", [("fixed", 0), ("resampled", 1)])
-def test_solve_rejects_a_non_finite_entry_in_a_sampled_slab(mode, draw, bad):
+@pytest.mark.parametrize("mode,draw", [("fixed", 0), ("resampled", 0), ("resampled", 1)])
+def test_solve_rejects_a_non_finite_entry_in_a_sampled_slab(mode, draw, bad, monkeypatch):
     # The entry lies in draw ``draw``'s row slab and outside every earlier
-    # draw, so only that draw's slabs can see it.
+    # draw, so only that draw's slabs can see it.  sample_slabs rejects it
+    # as it gathers the draw, before any threshold pass on that draw.
     cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(CORRUPTED.L), mode=mode, seed=RngSeed(31))
     *earlier, (rows, _) = solve_draws(cfg, CORRUPTED.D.shape, draw + 1)
     D = CORRUPTED.D.copy()
     D[first_outside([r for r, _ in earlier], rows.indices),
       first_outside([c for _, c in earlier])] = bad
+    thresholded = []
+
+    def spy(D, L, zeta):
+        thresholded.append(D.shape)
+        return hard_threshold(D, L, zeta)
+
+    monkeypatch.setattr(solver, "hard_threshold", spy)
     seen = []
     with pytest.raises(ValueError, match="non-finite entries") as info:
         solve(D, cfg, observer=lambda k, *_: seen.append(k))
     assert type(info.value) is ValueError  # not numpy's LinAlgError from an SVD
+    assert "sample_slabs" in [entry.name for entry in info.traceback]
     assert seen == list(range(1, draw + 1))
+    assert len(thresholded) == 2 * draw  # both slabs of each earlier step only
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
@@ -784,11 +794,13 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     for kernels in ("blocked", "s_writing"):
         written, residuals = [], []
         if kernels == "s_writing":
-            def threshold_writing_s(D, L, zeta, with_norm=False):
+            def threshold_writing_s(D, L, zeta):
                 S, rest = s_writing_hard_threshold(D, L, zeta)
                 written.append(S)
-                return (rest, matcore.frob_norm(D)) if with_norm else rest
+                return rest
             def residual_norms(A, B=None, with_max=False):
+                if B is None:  # den, at the draw
+                    return matcore.frob_norm(A)
                 residuals.append(with_max)
                 return slab_residual_norms(A, B, with_max)
             monkeypatch.setattr(solver, "hard_threshold", threshold_writing_s)
@@ -864,16 +876,22 @@ def test_solve_tiny_matrices():
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_recovers_at_extreme_scales(mode):
     # At 2**520 the range finder's M (M^T Q) and the slab sums of squares
-    # overflow; at 2**-660 they underflow; at 2**1015 the slab norms
+    # overflow; at 2**-660 they underflow; from 2**1015 the slab norms
     # themselves overflow, so e and success_check need one common scale.
-    # All three scales are exact, so the unscaled L is an overflow-free oracle.
+    # All these scales are exact, so the unscaled L is an overflow-free oracle.
     inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
-    for power in (520, -660, 1015):
+    for power in (520, -660, 1015, 1016, 1017):
         D, L = np.ldexp(inst.D, power), np.ldexp(inst.L, power)
         cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
         cur, _, trace = solve(D, cfg)
         oracle = frob_norm(np.ldexp(cur_eval(cur), -power) - inst.L) <= 1e-3 * frob_norm(inst.L)
         assert oracle and trace.converged and success_check(cur, L), power
+    # At 2**1018 the core's singular values leave the float range: an
+    # error, not a converged run with wrong factors.
+    D, L = np.ldexp(inst.D, 1018), np.ldexp(inst.L, 1018)
+    cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
+    with pytest.raises(ValueError, match="singular values overflow"):
+        solve(D, cfg)
 
 
 def test_solver_config_validation():
