@@ -48,9 +48,12 @@ FROB_RESCALE_BELOW = 1e-140
 BLOCK_BYTES = 256 * 1024
 
 # Lines per block of a gather across a matrix's memory order (see
-# submatrix).  Rows I of an F-order D at n=6000, |I| = 174, 2-core machine:
-# 14.0-14.7 ms in one call, 12.4-12.6 ms in blocks of 1024 columns, the best
-# of 256, 512, 1024 and 2048.
+# submatrix).  Medians of 60 interleaved calls on a 2-core machine, rows of
+# an F-order D at n=6000, |I| = 172: 22.2 ms in blocks of 512 lines, 23.6 ms
+# of 1024, with quartiles 20-26 ms for both; columns of a C-order D at
+# n=8000, |J| = 178: 32.1 and 33.7 ms, quartiles 29-35 ms.  Blocks of 256
+# and 2048 read the same, and numpy indexing in blocks of 1024 took 36 and
+# 46 ms.  No block size is better beyond noise, so 1024 stays.
 GATHER_LINES = 1024
 
 
@@ -200,25 +203,33 @@ def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
 
     Exactly one of ``rows``/``cols`` is an IndexSet or a raw index array,
     else ValueError.  Output order follows the selection order.
-    Out-of-range indices raise IndexError.  A row gather is C-order and a
-    column gather F-order, whatever M's order.  A gather across M's memory
-    order (rows of an F-order M, columns of a C-order one) copies
-    GATHER_LINES lines at a time into the output, so each block's reads
-    stay within fewer pages; the block temporaries add one output's size
-    to the meter.
+    Out-of-range indices raise IndexError; negative ones count from the end.
+    The values are those of numpy indexing, and a row gather is C-order and
+    a column gather F-order, whatever M's order.  A gather across M's
+    memory order (rows of an F-order M, columns of a C-order one) of more
+    than GATHER_LINES lines runs ``np.take`` along GATHER_LINES contiguous
+    lines at a time into one reused block buffer (metered as
+    GATHER_LINES * len(selection)) and copies each block's transpose out.
     """
     if (rows is None) == (cols is None):
         raise ValueError("submatrix gathers rows or columns: give exactly one of them")
     # A column gather is the transpose of a row gather from M.T.
     T, sel = (M, rows) if cols is None else (M.T, cols)
     idx = np.asarray(getattr(sel, "indices", sel), dtype=np.int64)  # IndexSet or array
-    n = T.shape[1]
+    m, n = T.shape
     if T.flags.c_contiguous or not T.flags.f_contiguous or n <= GATHER_LINES:
         out = tracked(T[idx, :])
     else:
+        if idx.size and not (-m <= idx.min() and idx.max() < m):
+            raise IndexError(f"index out of bounds for axis 0 with size {m}")
         out = tracked(np.empty((idx.size, n), dtype=T.dtype))
+        buf = tracked(np.empty((min(GATHER_LINES, n), idx.size), dtype=T.dtype))
+        lines = T.T  # C-order: each of its rows is one line of M's memory
         for start in range(0, n, GATHER_LINES):
-            out[:, start:start + GATHER_LINES] = tracked(T[idx, start:start + GATHER_LINES])
+            block = buf[: min(GATHER_LINES, n - start)]
+            # In bounds, so "wrap" maps negatives as numpy does; "raise" buffers out.
+            np.take(lines[start:start + GATHER_LINES], idx, axis=1, out=block, mode="wrap")
+            out[:, start:start + GATHER_LINES] = block.T
     return out if cols is None else out.T
 
 
@@ -329,8 +340,14 @@ class PinvFactor(SvdFactors):
 
         Evaluated as (X V diag(inv_sigma)) (W^T Y), so no intermediate is
         wider than the rank k of the factor.  Written into ``out`` if given.
+        For an X that is not C-contiguous (an F-order column slab), X V is
+        taken as (V^T X^T)^T with a C-order copy of V, which reads X along
+        its memory order; a C-order X keeps X @ V, whose last bits differ.
         """
-        T = tracked(X @ self.V)
+        if X.flags.c_contiguous:
+            T = tracked(X @ self.V)
+        else:
+            T = tracked((tracked(self.V.copy(order="C")).T @ X.T).T)
         T *= self.inv_sigma
         Z = tracked(self.W.T @ Y)
         if out is None:

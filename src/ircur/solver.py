@@ -22,9 +22,12 @@ the evaluation writes L.  The denominator den = ||D[I, :]||_F +
 policies below differ only in when I and J are drawn.  The full n x n
 estimates are never materialized.
 
-L is evaluated in one way, :func:`cur_eval`: on rows x cols it is
-(C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V the rank-k SVD of
-the core, costing O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).
+L is evaluated in one way, :meth:`matcore.PinvFactor.apply_right`: on
+rows x cols it is (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V
+the rank-k SVD of the core, costing
+O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).  :func:`cur_eval` gathers
+C[rows] and R[:, cols] itself; a step takes both from the core it already
+gathered (see :func:`_eval_slabs`).
 
 Two index policies are provided: ``fixed`` keeps the I, J that step 1
 draws for the whole run (fastest, minimal data access); ``resampled``
@@ -237,15 +240,18 @@ def cur_eval(
     return cur.core_pinv.apply_right(c, r, out)
 
 
-def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet, l_rows, l_cols):
-    l_rows = cur_eval(cur, rows, None, l_rows)
-    l_cols = cur_eval(cur, None, cols, l_cols)
+def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet,
+                c_rows: Matrix, r_cols: Matrix, l_rows: Matrix, l_cols: Matrix) -> None:
+    """L into ``l_rows`` and ``l_cols``, bitwise as :func:`cur_eval` gives it,
+    from the caller's c_rows = C[rows] (C-order) and r_cols = R[:, cols]
+    (F-order)."""
+    pinv = cur.core_pinv
+    pinv.apply_right(c_rows, cur.R, l_rows)
+    pinv.apply_right(cur.C, r_cols, l_cols)
     # The row and column slabs are separate GEMMs, so their (I, J) blocks can
     # differ in the last ulp.  Copy the row view into the column view so
     # downstream intersection blocks agree bitwise.
-    block = tracked(l_rows[:, cols.indices])
-    l_cols[rows.indices, :] = block
-    return l_rows, l_cols
+    l_cols[rows.indices, :] = tracked(l_rows[:, cols.indices])
 
 
 @dataclass
@@ -273,7 +279,8 @@ def sample_slabs(
     :func:`matcore.inf_norm` then rejects with ValueError, or when a norm
     overflows, which :func:`step` handles.  Each L slab takes the memory
     order of its D slab (a column gather is F-order), so the slab passes of
-    :func:`step` read both contiguously.
+    :func:`step` read both contiguously.  ``cur`` is evaluated from the
+    gathers C[rows] and R[:, cols] of its factors.
     """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
@@ -286,7 +293,8 @@ def sample_slabs(
     else:
         l_rows = tracked(np.empty_like(d_rows))
         l_cols = tracked(np.empty_like(d_cols))
-        _eval_slabs(cur, rows, cols, l_rows, l_cols)
+        _eval_slabs(cur, rows, cols, submatrix(cur.C, rows, None),
+                    submatrix(cur.R, None, cols), l_rows, l_cols)
     return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 
@@ -321,8 +329,11 @@ def step(
         C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols
     )
 
-    # Stopping statistic on the slabs that produced this iterate.
-    _eval_slabs(cur, rows, cols, slabs.l_rows, slabs.l_cols)
+    # Stopping statistic on the slabs that produced this iterate.  The core
+    # is R[:, J], and C[I] bitwise: the (I, J) blocks of D and L agree, so
+    # the two thresholds agree there too.
+    _eval_slabs(cur, rows, cols, tracked(core.copy(order="C")), core,
+                slabs.l_rows, slabs.l_cols)
     f_rows = frob_norm(r_new, slabs.l_rows, with_max=with_max)
     f_cols = frob_norm(c_new, slabs.l_cols, with_max=with_max)
     if with_max:

@@ -223,7 +223,7 @@ def test_submatrix_out_of_range():
 def test_submatrix_gather_is_bitwise_numpy_indexing(order, lines, axis):
     # A gather across the memory order runs in blocks of GATHER_LINES lines;
     # values and memory order must be those of one numpy indexing call, and
-    # the meter counts the block temporaries too.
+    # the meter counts the output and the one reused block buffer.
     shape = (40, lines) if axis == "rows" else (lines, 40)
     M = np.asarray(rng.standard_normal(shape), order=order)
     idx = np.array([7, 0, 39, 7, 12, 25])
@@ -236,7 +236,27 @@ def test_submatrix_gather_is_bitwise_numpy_indexing(order, lines, axis):
         want.flags.c_contiguous, want.flags.f_contiguous)
     across = (axis == "rows") == (order == "F")
     blocked = across and lines > matcore.GATHER_LINES
-    assert units == (2 if blocked else 1) * want.size
+    buffer = min(matcore.GATHER_LINES, lines) * idx.size if blocked else 0
+    assert units == want.size + buffer
+
+
+@pytest.mark.parametrize("lines", [1025, 3000])
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_submatrix_blocked_gather_handles_negative_and_out_of_range_indices(lines, axis):
+    # Gathers across the memory order longer than GATHER_LINES lines take
+    # the np.take path: negative indices count from the end as in numpy,
+    # and an index outside [-40, 40) raises IndexError.
+    order = "F" if axis == "rows" else "C"
+    shape = (40, lines) if axis == "rows" else (lines, 40)
+    M = np.asarray(rng.standard_normal(shape), order=order)
+    gather = (lambda i: submatrix(M, i, None)) if axis == "rows" else (
+        lambda i: submatrix(M, None, i))
+    idx = np.array([-1, 3, -40, 39, -17, 0])
+    want = M[idx, :] if axis == "rows" else M[:, idx]
+    assert gather(idx).tobytes("A") == want.tobytes("A")
+    for bad in ([0, 40, 1], [-41, 2], [40], [-41]):
+        with pytest.raises(IndexError):
+            gather(np.array(bad))
 
 
 def test_truncated_svd_diagonal():

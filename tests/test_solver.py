@@ -168,15 +168,18 @@ def test_materialize_recovers_full_matrix():
     assert frob_norm(cur_eval(cur) - L) <= 1e-9 * frob_norm(L)
 
 
-def test_cur_eval_rank_deficient_core_matches_dense_pinv():
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cur_eval_rank_deficient_core_matches_dense_pinv(order):
     # A 9 x 7 estimate whose 3 x 4 core has rank 1, so some inv_sigma is 0;
     # C and R are unrelated to the core, so only the product is checked.
+    # apply_right takes X V one way for a C-order X and another otherwise.
     g = np.random.default_rng(3)
     U = np.outer(g.standard_normal(3), g.standard_normal(4))
     fac = pinv_factor(U)
     assert fac.effective_rank == 1 and 0.0 in fac.inv_sigma
     cur = CurFactors(
-        C=g.standard_normal((9, 4)), core_pinv=fac, R=g.standard_normal((3, 7)),
+        C=np.asarray(g.standard_normal((9, 4)), order=order), core_pinv=fac,
+        R=g.standard_normal((3, 7)),
         rows=IndexSet(np.array([1, 4, 6]), 9), cols=IndexSet(np.array([0, 2, 3, 5]), 7),
     )
     U_pinv = np.linalg.pinv(U, rcond=1e-10)
@@ -189,7 +192,8 @@ def test_cur_eval_rank_deficient_core_matches_dense_pinv():
             out = np.empty_like(expect)
             assert cur_eval(cur, rows, cols, out) is out
             np.testing.assert_allclose(out, expect, atol=1e-10)
-    X, Y = g.standard_normal((5, 4)), g.standard_normal((3, 6))
+    X, Y = np.asarray(g.standard_normal((5, 4)), order=order), g.standard_normal((3, 6))
+    assert X.flags.c_contiguous == (order == "C")
     np.testing.assert_allclose(fac.apply_right(X, Y), X @ U_pinv @ Y, atol=1e-10)
 
 
@@ -652,6 +656,42 @@ def test_step_leaves_the_d_slabs_unchanged():
         assert slabs.d_rows.tobytes() == d_rows.tobytes()
         assert slabs.d_cols.tobytes() == d_cols.tobytes()
     assert sparse.row_values.any()
+
+
+def assert_l_slabs_are_cur_eval(slabs, cur):
+    # Bitwise cur_eval on each slab, with the row slab's (I, J) block
+    # copied into the column slab, in the D slabs' memory order.
+    rows, cols = slabs.rows, slabs.cols
+    want_rows = cur_eval(cur, rows, None)
+    want_cols = cur_eval(cur, None, cols)
+    want_cols[rows.indices, :] = want_rows[:, cols.indices]
+    assert slabs.l_rows.tobytes("A") == want_rows.tobytes("C")
+    assert slabs.l_cols.tobytes("A") == want_cols.tobytes("F")
+    assert slabs.l_rows.flags.c_contiguous and slabs.l_cols.flags.f_contiguous
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+def test_step_l_slabs_are_bitwise_cur_eval(mode, order):
+    # A step evaluates L_{k+1} from the core it gathered (C[I] and R[:, J]),
+    # and a resampled draw from fresh gathers of the last iterate's C and R;
+    # either way the L slabs are those of cur_eval.  D is rectangular and
+    # the cutoffs fall, so both phases write from the second step on.
+    inst = make_problem(SyntheticSpec(150, 4, 0.1, RngSeed(97)))
+    D = np.asarray(inst.D[:, :110], order=order)
+    gen = RngSeed(98).generator()
+
+    def draw():
+        return sample_indices(150, 50, gen), sample_indices(110, 40, gen)
+
+    slabs = sample_slabs(D, *draw())
+    for zeta in (inf_norm(D), 0.5 * inf_norm(inst.L), 0.1 * inf_norm(inst.L)):
+        if mode == "resampled" and zeta < inf_norm(D):
+            slabs = sample_slabs(D, *draw(), cur)
+            assert_l_slabs_are_cur_eval(slabs, cur)
+        cur, sparse, _ = step(slabs, zeta, 4)
+        assert_l_slabs_are_cur_eval(slabs, cur)
+    assert sparse.row_values.any() and sparse.col_values.any()
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
