@@ -223,7 +223,7 @@ def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
         if idx.size and not (-m <= idx.min() and idx.max() < m):
             raise IndexError(f"index out of bounds for axis 0 with size {m}")
         out = tracked(np.empty((idx.size, n), dtype=T.dtype))
-        buf = tracked(np.empty((min(GATHER_LINES, n), idx.size), dtype=T.dtype))
+        buf = tracked(np.empty((GATHER_LINES, idx.size), dtype=T.dtype))
         lines = T.T  # C-order: each of its rows is one line of M's memory
         for start in range(0, n, GATHER_LINES):
             block = buf[: min(GATHER_LINES, n - start)]
