@@ -9,11 +9,13 @@ sampled sizes) on every solve of the set, so a change meant to keep results
 bitwise can be checked against its parent.
 
 The set: rank 5, n=300 with seeds 0-7 and (c, alpha) in {(4, .1), (2, .2),
-(1, .1), (4, .3)}, plus n=1000 with seeds 0-2 and (4, .1); both modes;
-zeta0 = 2 max|L| on even seeds and None (max |D|) on odd ones; max_iter 60.
-That is 70 problems, and each is solved on a C-order and an F-order copy of
-D (the F-order one is the layout ``ircur solve`` reads from a BIN file), so
-140 solves.  Timings and allocation counts are not hashed.
+(1, .1), (4, .3)}, plus (4, .1) at n=1000 with seeds 0-2 and at n=1500 with
+seeds 0-1; both modes; zeta0 = 2 max|L| on even seeds and None (max |D|) on
+odd ones; max_iter 60.  That is 74 problems, and each is solved on a C-order
+and an F-order copy of D (the F-order one is the layout ``ircur solve`` reads
+from a BIN file), so 148 solves.  The n=1500 problems gather more than
+``matcore.GATHER_LINES`` lines across D's memory order, so the blocked
+gather is hashed too.  Timings and allocation counts are not hashed.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ Case = tuple[int, int, float, float, str]  # n, seed, c, alpha, mode
 
 
 def parity_cases() -> Iterator[Case]:
-    """The 70 problems of the set, as (n, seed, c, alpha, mode)."""
-    for n, seeds, cells in ((300, range(8), CELLS), (1000, range(3), CELLS[:1])):
+    """The 74 problems of the set, as (n, seed, c, alpha, mode)."""
+    for n, seeds, cells in ((300, range(8), CELLS), (1000, range(3), CELLS[:1]),
+                             (1500, range(2), CELLS[:1])):
         for seed in seeds:
             for c, alpha in cells:
                 for mode in MODES:

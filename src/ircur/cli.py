@@ -35,9 +35,9 @@ from .experiments import (
     bench_specs, phase_trials, run_bench, run_phase_transition, run_video, scaling_slope,
 )
 from .matcore import pinv_factor
-from .mio import FormatError, read_matrix, write_matrix
+from .mio import read_matrix, write_matrix
 from .sampling import RngSeed
-from .solver import MODES, SolverConfig, solve
+from .solver import MODES, SolverConfig, SolverTrace, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,16 +110,19 @@ def _write_factors(args, **factors) -> Path:
     return out
 
 
-def _read_nonempty(path):
-    M = read_matrix(path)
-    if M.size == 0:
-        raise FormatError("empty matrix", path=path)
-    return M
+def _report(command: str, trace: SolverTrace) -> int:
+    """Print how a solve ended as one ``<command>: ...`` line; the exit
+    code is EXIT_OK if it converged, else EXIT_NOT_CONVERGED."""
+    print(
+        f"{command}: {'converged' if trace.converged else 'max_iter reached'} "
+        f"after {trace.iterations} iterations, e={trace.errors[-1]:.3e}"
+    )
+    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_solve(args) -> int:
     cfg = _config(args)
-    D = _read_nonempty(args.input)
+    D = read_matrix(args.input)
     cur, _, trace = solve(D, cfg)
     factors = {"C": cur.C, "core": cur.core_pinv.dense(), "R": cur.R}
     if args.svd:
@@ -136,11 +139,7 @@ def cmd_solve(args) -> int:
             )
         ],
     )
-    print(
-        f"solve: {'converged' if trace.converged else 'max_iter reached'} "
-        f"after {trace.iterations} iterations, e={trace.errors[-1]:.3e}"
-    )
-    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+    return _report("solve", trace)
 
 
 def cmd_phase_transition(args) -> int:
@@ -160,17 +159,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_video(args) -> int:
-    trace = run_video(args.frames, args.out_dir, _config(args))
-    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+    return _report("video", run_video(args.frames, args.out_dir, _config(args)))
 
 
 def cmd_cur2svd(args) -> int:
-    C, core, R = map(_read_nonempty, (args.c_file, args.core_file, args.r_file))
-    if C.shape[1] != core.shape[1] or R.shape[0] != core.shape[0]:
-        raise FormatError(
-            f"factor shapes do not chain: C {C.shape[0]}x{C.shape[1]}, core "
-            f"{core.shape[0]}x{core.shape[1]}, R {R.shape[0]}x{R.shape[1]}"
-        )
+    C, core, R = map(read_matrix, (args.c_file, args.core_file, args.r_file))
     fac = cur_to_svd(C, pinv_factor(core), R)
     _write_factors(args, W=fac.W, sigma=fac.sigma.reshape(-1, 1), V=fac.V)
     return EXIT_OK

@@ -109,6 +109,8 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     per-chunk column slices of the estimates are ever materialized.  The
     ``frame_*.pgm`` files already in ``background/`` and ``foreground/``
     are removed first, so no frame of an earlier run stays; other files stay.
+    One header line goes to ``log``; the solve's trace is returned, and how
+    the solve ended is left to the caller to report.
     """
     frames = read_frame_dir(frame_dir)
     n_frames, height, width = frames.shape
@@ -119,10 +121,6 @@ def run_video(frame_dir, out_dir, cfg: SolverConfig, log=print):
     D = frames_to_matrix(frames)
     del frames  # D holds the pixels from here on
     cur, _, trace = solve(D, cfg)
-    log(
-        f"video: {'converged' if trace.converged else 'max_iter reached'} after "
-        f"{trace.iterations} iterations, e={trace.errors[-1]:.3e}"
-    )
     background, foreground = Path(out_dir) / "background", Path(out_dir) / "foreground"
     for stale in [*background.glob("frame_*.pgm"), *foreground.glob("frame_*.pgm")]:
         stale.unlink()

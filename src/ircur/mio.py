@@ -64,8 +64,9 @@ def read_matrix(path) -> Matrix:
     """Read a matrix written by :func:`write_matrix`: ``.csv`` and ``.bin``
     by suffix, any other file by its magic bytes.
 
-    Bad magic, truncated payloads, and non-finite values raise
-    FormatError (with the byte offset for binary files).
+    Bad magic, truncated payloads, non-finite values and a matrix with a
+    zero dimension raise FormatError (with the byte offset where a binary
+    file has one).
     """
     path = Path(path)
     return _read_bin(path) if _sniff_format(path) == "bin" else _read_csv(path)
@@ -90,6 +91,8 @@ def _read_bin(path: Path) -> Matrix:
             )
         if size > expected:
             raise FormatError("trailing bytes after payload", path=path, offset=expected)
+        if rows * cols == 0:
+            raise FormatError("empty matrix", path=path)
         flat = np.fromfile(fh, dtype="<f8", count=rows * cols)
     if flat.size != rows * cols:  # the file shrank after stat
         raise FormatError(

@@ -7,7 +7,8 @@ clamped to [r, n].
 
 Randomness is derived from counter-style (seed, stream) pairs through
 numpy's SeedSequence so that independent trials in the benchmark harness
-are reproducible regardless of execution order.
+are reproducible regardless of execution order.  Configs and specs hold an
+``RngSeed``; a function that draws takes a numpy ``Generator``.
 """
 
 from __future__ import annotations
@@ -84,15 +85,12 @@ def sample_count(n: int, r: int, c: float) -> int:
     return min(n, max(r, math.ceil(min(c * r * math.log(n), n))))
 
 
-def sample_indices(n: int, m: int, rng: RngSeed | np.random.Generator) -> IndexSet:
+def sample_indices(n: int, m: int, gen: np.random.Generator) -> IndexSet:
     """Draw m indices uniformly with replacement from [0, n), then
     deduplicate and sort.  The result has size <= m (and >= 1).
 
-    Passing an ``RngSeed`` gives a one-shot reproducible draw; passing a
-    Generator advances it, which is how sequential redraws are made.
+    The draw advances ``gen``, which is how sequential redraws are made.
     """
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    draws = gen.integers(0, n, size=m)
-    return IndexSet(np.unique(draws), n)
+    return IndexSet(np.unique(gen.integers(0, n, size=m)), n)

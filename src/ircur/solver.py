@@ -226,10 +226,9 @@ def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
 
 
 def cur_eval(
-    cur: CurFactors, rows: IndexSet | None = None, cols: IndexSet | None = None,
-    out: Matrix | None = None,
+    cur: CurFactors, rows: IndexSet | None = None, cols: IndexSet | None = None
 ) -> Matrix:
-    """The low-rank estimate C * U+ * R on rows x cols, written into ``out`` if given.
+    """The low-rank estimate C * U+ * R on rows x cols.
 
     None selects every row or column, and that side uses C or R without a
     copy; with both None the full matrix is allocated (test scale only).
@@ -237,7 +236,7 @@ def cur_eval(
     """
     c = cur.C if rows is None else submatrix(cur.C, rows, None)
     r = cur.R if cols is None else submatrix(cur.R, None, cols)
-    return cur.core_pinv.apply_right(c, r, out)
+    return cur.core_pinv.apply_right(c, r)
 
 
 def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet,

@@ -4,6 +4,10 @@ Instances follow the standard random model: L = A @ B.T with Gaussian
 factors, and S supported on round(alpha * n^2) uniformly chosen cells
 with values i.i.d. uniform on [-a, a], where a is the mean absolute entry
 of the realized L (the empirical estimator of E|L_ij|).
+
+A spec (and :func:`make_video`'s ``seed``) holds an ``RngSeed`` and starts
+a fresh stream from it; a function that draws from a given stream takes a
+numpy ``Generator`` and advances it.
 """
 
 from __future__ import annotations
@@ -49,15 +53,10 @@ class ProblemInstance:
     S: Matrix
 
 
-def _generator(rng: RngSeed | np.random.Generator) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngSeed) else rng
-
-
-def gen_low_rank(n: int, rank: int, rng: RngSeed | np.random.Generator) -> Matrix:
+def gen_low_rank(n: int, rank: int, gen: np.random.Generator) -> Matrix:
     """Rank-``rank`` n x n matrix A @ B.T from i.i.d. standard normal factors."""
     if rank > n:
         raise ValueError("rank exceeds matrix dimensions")
-    gen = _generator(rng)
     A = gen.standard_normal((n, rank))
     B = gen.standard_normal((n, rank))
     return A @ B.T
@@ -103,7 +102,7 @@ def _sparse_parts(
     return support, values
 
 
-def gen_sparse(L: Matrix, alpha: float, rng: RngSeed | np.random.Generator) -> Matrix:
+def gen_sparse(L: Matrix, alpha: float, gen: np.random.Generator) -> Matrix:
     """Sparse outlier matrix matched to L's entry scale.
 
     Exactly round(alpha * n1 * n2) cells, chosen uniformly without
@@ -112,7 +111,7 @@ def gen_sparse(L: Matrix, alpha: float, rng: RngSeed | np.random.Generator) -> M
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    support, values = _sparse_parts(L, alpha, _generator(rng))
+    support, values = _sparse_parts(L, alpha, gen)
     S = np.zeros(L.shape)
     S.flat[support] = values
     return S

@@ -41,8 +41,8 @@ def report(num: int, ok: bool, t0: float, detail: str) -> None:
 
 def exact_cur(L, r, m, seed):
     n1, n2 = L.shape
-    rows = sample_indices(n1, min(n1, m), RngSeed(seed, 0))
-    cols = sample_indices(n2, min(n2, m), RngSeed(seed, 1))
+    rows = sample_indices(n1, min(n1, m), RngSeed(seed, 0).generator())
+    cols = sample_indices(n2, min(n2, m), RngSeed(seed, 1).generator())
     # At zeta = max |L| the sparse update stays 0: the CUR factors of L.
     cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
     return cur
@@ -54,7 +54,7 @@ def test_criterion_1_cur_identity():
     worst = 0.0
     for case in range(100):
         r = case % 5 + 1
-        L = gen_low_rank(30, r, RngSeed(1000 + case))
+        L = gen_low_rank(30, r, RngSeed(1000 + case).generator())
         cur = exact_cur(L, r, m=3 * r + 10, seed=case)
         assert cur.core_pinv.effective_rank == r
         rel = frob_norm(cur_eval(cur) - L) / frob_norm(L)
@@ -199,7 +199,7 @@ def test_criterion_7_cur_to_svd():
     for case in range(50):
         n = 60 + (case * 7) % 141  # sizes spread over [60, 200]
         r = case % 6 + 1
-        L = gen_low_rank(n, r, RngSeed(7000 + case))
+        L = gen_low_rank(n, r, RngSeed(7000 + case).generator())
         cur = exact_cur(L, r, m=4 * r + 10, seed=case + 31)
         fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
         product = cur_eval(cur)

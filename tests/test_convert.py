@@ -13,15 +13,15 @@ rng = np.random.default_rng(123)
 
 def exact_cur(L, r, seed):
     n1, n2 = L.shape
-    rows = sample_indices(n1, min(n1, 4 * r + 8), RngSeed(seed, 0))
-    cols = sample_indices(n2, min(n2, 4 * r + 8), RngSeed(seed, 1))
+    rows = sample_indices(n1, min(n1, 4 * r + 8), RngSeed(seed, 0).generator())
+    cols = sample_indices(n2, min(n2, 4 * r + 8), RngSeed(seed, 1).generator())
     # At zeta = max |L| the sparse update stays 0: the CUR factors of L.
     cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
     return cur
 
 
 def test_singular_values_match_dense_oracle():
-    L = gen_low_rank(30, 4, RngSeed(1))
+    L = gen_low_rank(30, 4, RngSeed(1).generator())
     cur = exact_cur(L, 4, seed=2)
     fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     oracle = np.linalg.svd(L, compute_uv=False)[:4]
@@ -40,7 +40,7 @@ def test_rank_one_unit():
 
 
 def test_scaling_homogeneity():
-    L = gen_low_rank(20, 3, RngSeed(5))
+    L = gen_low_rank(20, 3, RngSeed(5).generator())
     cur = exact_cur(L, 3, seed=6)
     base = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     scaled = cur_to_svd(10.0 * cur.C, cur.core_pinv, cur.R)
@@ -55,7 +55,7 @@ def test_scaling_homogeneity():
 def test_reconstruction_and_orthonormality(seed):
     n = 40 + 25 * seed
     r = 2 + seed % 4
-    L = gen_low_rank(n, r, RngSeed(seed, 3))
+    L = gen_low_rank(n, r, RngSeed(seed, 3).generator())
     cur = exact_cur(L, r, seed=seed + 10)
     fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     product = cur_eval(cur)
@@ -77,14 +77,14 @@ def test_zero_input_keeps_orthonormal_completion():
 
 def test_compact_rank_matches_core_truncation():
     # The core is rank-truncated, so converted sigma drops the null columns.
-    L = gen_low_rank(25, 2, RngSeed(9))
+    L = gen_low_rank(25, 2, RngSeed(9).generator())
     cur = exact_cur(L, 2, seed=11)
     fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
     assert fac.sigma.size == 2
 
 
 def test_dimension_mismatch_raises():
-    L = gen_low_rank(12, 2, RngSeed(13))
+    L = gen_low_rank(12, 2, RngSeed(13).generator())
     cur = exact_cur(L, 2, seed=14)
     with pytest.raises(ValueError):
         cur_to_svd(cur.C[:, :1], cur.core_pinv, cur.R)
@@ -93,7 +93,7 @@ def test_dimension_mismatch_raises():
 
 
 def test_one_dimensional_factor_raises():
-    L = gen_low_rank(12, 2, RngSeed(13))
+    L = gen_low_rank(12, 2, RngSeed(13).generator())
     cur = exact_cur(L, 2, seed=14)
     with pytest.raises(ValueError, match="must be 2-D"):
         cur_to_svd(cur.C[:, 0], cur.core_pinv, cur.R)
@@ -104,9 +104,9 @@ def test_cost_scales_linearly_in_ambient_dimension():
     r = 3
     allocs = {}
     for n in (100, 200, 400):
-        L = gen_low_rank(n, r, RngSeed(17))
-        rows = sample_indices(n, 20, RngSeed(18))
-        cols = sample_indices(n, 20, RngSeed(19))
+        L = gen_low_rank(n, r, RngSeed(17).generator())
+        rows = sample_indices(n, 20, RngSeed(18).generator())
+        cols = sample_indices(n, 20, RngSeed(19).generator())
         cur, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), r)
         matcore.ALLOCATIONS.reset()
         cur_to_svd(cur.C, cur.core_pinv, cur.R)

@@ -46,6 +46,14 @@ def test_empty_file_is_format_error(tmp_path):
         read_matrix(p)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)], ids=["rows", "cols", "both"])
+def test_bin_matrix_with_a_zero_dimension_is_format_error(tmp_path, shape):
+    p = tmp_path / "e.bin"
+    write_matrix(np.zeros(shape), p)
+    with pytest.raises(FormatError, match="empty matrix$"):
+        read_matrix(p)
+
+
 def test_bad_magic_reports_offset_zero(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + struct.pack("<ii", 1, 1) + b"\x00" * 8)

@@ -37,19 +37,19 @@ def test_sample_count_stays_clamped(n, r, c):
 
 
 def test_sample_indices_singleton():
-    assert sample_indices(1, 1, RngSeed(123)).indices.tolist() == [0]
+    assert sample_indices(1, 1, RngSeed(123).generator()).indices.tolist() == [0]
 
 
 def test_sample_indices_deterministic():
-    a = sample_indices(50, 20, RngSeed(7, 3))
-    b = sample_indices(50, 20, RngSeed(7, 3))
+    a = sample_indices(50, 20, RngSeed(7, 3).generator())
+    b = sample_indices(50, 20, RngSeed(7, 3).generator())
     np.testing.assert_array_equal(a.indices, b.indices)
-    c = sample_indices(50, 20, RngSeed(7, 4))
+    c = sample_indices(50, 20, RngSeed(7, 4).generator())
     assert not np.array_equal(a.indices, c.indices)
 
 
 def test_sample_indices_shape_contract():
-    s = sample_indices(100, 40, RngSeed(0))
+    s = sample_indices(100, 40, RngSeed(0).generator())
     assert 1 <= s.size <= 40
     assert (np.diff(s.indices) > 0).all()
     assert s.indices[0] >= 0 and s.indices[-1] < 100
@@ -57,9 +57,9 @@ def test_sample_indices_shape_contract():
 
 def test_sample_indices_parameter_errors():
     with pytest.raises(ValueError):
-        sample_indices(5, 0, RngSeed(0))
+        sample_indices(5, 0, RngSeed(0).generator())
     with pytest.raises(ValueError):
-        sample_indices(5, 6, RngSeed(0))
+        sample_indices(5, 6, RngSeed(0).generator())
 
 
 def test_appearance_frequency_is_uniform():
@@ -69,7 +69,7 @@ def test_appearance_frequency_is_uniform():
     n, m, trials = 1000, 139, 10000
     counts = np.zeros(n, dtype=np.int64)
     for t in range(trials):
-        counts[sample_indices(n, m, RngSeed(42, t)).indices] += 1
+        counts[sample_indices(n, m, RngSeed(42, t).generator()).indices] += 1
     p = 1.0 - (1.0 - 1.0 / n) ** m
     mean = trials * p
     sigma = math.sqrt(trials * p * (1.0 - p))
@@ -80,7 +80,7 @@ def test_appearance_frequency_is_uniform():
 def test_distinct_count_matches_expectation():
     n, m, trials = 1000, 139, 1000
     expected = n * (1.0 - (1.0 - 1.0 / n) ** m)
-    sizes = [sample_indices(n, m, RngSeed(9, t)).size for t in range(trials)]
+    sizes = [sample_indices(n, m, RngSeed(9, t).generator()).size for t in range(trials)]
     assert abs(np.mean(sizes) - expected) <= 0.02 * expected
 
 
@@ -88,7 +88,7 @@ def test_union_covers_range():
     n = 50
     seen = set()
     for t in range(200):
-        seen.update(sample_indices(n, 10, RngSeed(3, t)).indices.tolist())
+        seen.update(sample_indices(n, 10, RngSeed(3, t).generator()).indices.tolist())
     assert seen == set(range(n))
 
 

@@ -38,4 +38,4 @@ def test_parity_hash_is_deterministic():
     assert count == 4 and len(digest) == 64  # each case on a C- and an F-order D
     assert script.parity_hash(cases) == (count, digest)
     assert script.parity_hash(cases[:1]) != (count, digest)
-    assert len(list(script.parity_cases())) == 70
+    assert len(list(script.parity_cases())) == 74

@@ -17,43 +17,43 @@ from ircur.synth import (
 
 
 def test_gen_low_rank_scalar_case():
-    L = gen_low_rank(1, 1, RngSeed(0))
+    L = gen_low_rank(1, 1, RngSeed(0).generator())
     assert L.shape == (1, 1)
 
 
 def test_gen_low_rank_has_exact_rank():
-    L = gen_low_rank(50, 5, RngSeed(1))
+    L = gen_low_rank(50, 5, RngSeed(1).generator())
     s = np.linalg.svd(L, compute_uv=False)
     assert int(np.sum(s > 1e-10 * s[0])) == 5
 
 
 def test_gen_low_rank_deterministic():
     np.testing.assert_array_equal(
-        gen_low_rank(20, 3, RngSeed(2)), gen_low_rank(20, 3, RngSeed(2))
+        gen_low_rank(20, 3, RngSeed(2).generator()), gen_low_rank(20, 3, RngSeed(2).generator())
     )
 
 
 def test_gen_low_rank_rejects_rank_above_n():
     with pytest.raises(ValueError):
-        gen_low_rank(5, 6, RngSeed(3))
+        gen_low_rank(5, 6, RngSeed(3).generator())
 
 
 def test_gen_sparse_empty_support():
-    L = gen_low_rank(10, 2, RngSeed(4))
-    assert not gen_sparse(L, 0.0, RngSeed(5)).any()
+    L = gen_low_rank(10, 2, RngSeed(4).generator())
+    assert not gen_sparse(L, 0.0, RngSeed(5).generator()).any()
 
 
 def test_gen_sparse_exact_count():
-    L = gen_low_rank(100, 2, RngSeed(6))
-    S = gen_sparse(L, 0.1, RngSeed(7))
+    L = gen_low_rank(100, 2, RngSeed(6).generator())
+    S = gen_sparse(L, 0.1, RngSeed(7).generator())
     assert np.count_nonzero(S) == 1000
 
 
 def test_gen_sparse_amplitude_law():
     # Nonzero values are uniform on [-a, a] with a = mean |L|, so the mean
     # magnitude of the nonzeros is a/2.
-    L = gen_low_rank(200, 3, RngSeed(8))
-    S = gen_sparse(L, 0.2, RngSeed(9))
+    L = gen_low_rank(200, 3, RngSeed(8).generator())
+    S = gen_sparse(L, 0.2, RngSeed(9).generator())
     a = np.mean(np.abs(L))
     observed = np.abs(S[S != 0]).mean()
     assert abs(observed - a / 2) <= 0.05 * (a / 2)
@@ -62,11 +62,11 @@ def test_gen_sparse_amplitude_law():
 
 def test_gen_sparse_support_is_uniform():
     # Over many draws every cell should be hit at roughly the same rate.
-    L = gen_low_rank(20, 2, RngSeed(10))
+    L = gen_low_rank(20, 2, RngSeed(10).generator())
     hits = np.zeros(400)
     trials = 500
     for t in range(trials):
-        S = gen_sparse(L, 0.25, RngSeed(11, t))
+        S = gen_sparse(L, 0.25, RngSeed(11, t).generator())
         hits += (S.ravel() != 0)
     p = 0.25
     sigma = np.sqrt(trials * p * (1 - p))
@@ -152,15 +152,15 @@ def test_synthetic_spec_validation():
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.0])
 def test_gen_sparse_rejects_alpha_outside_unit_interval(alpha):
-    L = gen_low_rank(10, 2, RngSeed(4))
+    L = gen_low_rank(10, 2, RngSeed(4).generator())
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
-        gen_sparse(L, alpha, RngSeed(5))
+        gen_sparse(L, alpha, RngSeed(5).generator())
 
 
 def test_success_check_true_and_false():
-    L = gen_low_rank(15, 2, RngSeed(19))
-    rows = sample_indices(15, 12, RngSeed(20))
-    cols = sample_indices(15, 12, RngSeed(21))
+    L = gen_low_rank(15, 2, RngSeed(19).generator())
+    rows = sample_indices(15, 12, RngSeed(20).generator())
+    cols = sample_indices(15, 12, RngSeed(21).generator())
     exact, _, _ = step(sample_slabs(L, rows, cols), inf_norm(L), 2)
     assert success_check(exact, L)
     zero, _, _ = step(sample_slabs(np.zeros((15, 15)), rows, cols), 0.0, 2)
@@ -173,8 +173,8 @@ def test_success_check_where_the_norms_overflow():
     # 5% off must still fail and an exact one pass.
     L = np.ldexp(make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3))).L, 1015)
     assert frob_norm(L) == np.inf
-    rows = sample_indices(300, 60, RngSeed(20))
-    cols = sample_indices(300, 60, RngSeed(21))
+    rows = sample_indices(300, 60, RngSeed(20).generator())
+    cols = sample_indices(300, 60, RngSeed(21).generator())
     for factor, ok in ((1.0, True), (1.05, False)):
         cur, _, _ = step(sample_slabs(factor * L, rows, cols), inf_norm(factor * L), 5)
         assert success_check(cur, L) is ok, factor
