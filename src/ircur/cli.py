@@ -63,13 +63,11 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _add_solver_flags(
-    p: argparse.ArgumentParser, rank_default=5, zeta0=True, sampling=True
-) -> None:
-    """Register the solver flags, defaulting to SolverConfig's; ``zeta0`` /
+def _add_solver_flags(p: argparse.ArgumentParser, zeta0=True, sampling=True) -> None:
+    """Register the solver flags, defaulting to SolverConfig's (rank 5); ``zeta0`` /
     ``sampling`` = False leaves out --zeta0 / --c-rows and --c-cols (set per trial)."""
-    cfg = SolverConfig(rank=rank_default)
-    p.add_argument("--rank", type=int, default=rank_default, help="target rank r")
+    cfg = SolverConfig(rank=5)
+    p.add_argument("--rank", type=int, default=cfg.rank, help="target rank r")
     p.add_argument("--eps", type=float, default=cfg.eps, help="stopping precision")
     if zeta0:
         p.add_argument("--zeta0", type=float, default=cfg.zeta0,
@@ -217,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("video", help="background/foreground separation of PGM frames")
     p.add_argument("frames", help="directory of .pgm frames")
-    _add_solver_flags(p, rank_default=2)
+    _add_solver_flags(p)
     p.add_argument("--out-dir", default="out",
                    help="output directory (background/ and foreground/ inside)")
     # Frames sit in memory, so redrawing indices costs no extra data access,
     # and it keeps an unlucky fixed draw from folding foreground pixels into
     # the background estimate.
-    p.set_defaults(func=cmd_video, mode="resampled")
+    p.set_defaults(func=cmd_video, rank=2, mode="resampled")
 
     p = sub.add_parser("cur2svd", help="convert stored CUR factors to a compact SVD")
     p.add_argument("--c-file", required=True)

@@ -39,8 +39,8 @@ RANGE_POWER_STEPS = 2
 RANGE_SEED = 0
 
 # A Frobenius norm at or above this has normal squares in its largest
-# entries; below it frob_norm rescales (entries near 1e-160 lose bits), as
-# it does when the sum of squares overflows.
+# entries; below it frob_norm's plain sum loses bits (entries near 1e-160)
+# or reads 0, so frob_ratio rescales, as it does when that sum overflows.
 FROB_RESCALE_BELOW = 1e-140
 
 # Bytes of each operand per block of a blocked pass over a slab or matrix
@@ -98,33 +98,29 @@ def require_finite(M: Matrix) -> Matrix:
     return M
 
 
-def frob_norm(
-    A: Matrix, B: Matrix | None = None, with_max: bool = False
-) -> float | tuple[float, float]:
-    """||A - B||_F as a float (B = None means 0), or with ``with_max`` the
-    pair (||A - B||_F, max |A - B|) from the same pass.
+def frob_norm(A: Matrix, B: Matrix | None = None) -> float:
+    """||A - B||_F (B = None means 0), from one pass over A's :func:`blocks`.
 
-    One pass over A's :func:`blocks`: each block of A - B goes to a
-    block-sized buffer and its squares are summed there by ``np.einsum``,
-    which calls no BLAS (a threaded ``ddot`` can stall for milliseconds on a
-    busy machine).  So no temporary of A's size is allocated.  Below
-    ``FROB_RESCALE_BELOW`` the squares of the largest entries may be
-    subnormal or zero, and above about 1e154 their sum may overflow, so in
-    either case the norm is taken again from (A - B) / max|A - B|.
+    Each block of A - B goes to a block-sized buffer and its squares are
+    summed there by ``np.einsum``, which calls no BLAS (a threaded ``ddot``
+    can stall for milliseconds on a busy machine), so no temporary of A's
+    size is allocated.  The sum is plain: it loses bits or reads 0 below
+    ``FROB_RESCALE_BELOW`` and overflows to inf above about 1e154; a ratio
+    of such norms comes from :func:`frob_ratio`.
     """
-    total, peak = _block_sums(A, B, 1.0, with_max)
-    f = math.sqrt(total)
-    if not FROB_RESCALE_BELOW <= f < math.inf:
-        if not with_max:
-            peak = _block_sums(A, B, 1.0, True)[1]
-        if 0.0 < peak < math.inf:
-            f = peak * math.sqrt(_block_sums(A, B, peak, False)[0])
-    return (f, peak) if with_max else f
+    return math.sqrt(_block_sums(A, B, 1.0))
 
 
-def _block_sums(A: Matrix, B: Matrix | None, scale: float, with_max: bool) -> tuple[float, float]:
-    # Sum of squares of (A - B) / scale, and max |A - B| if with_max.
-    total, peak = 0.0, 0.0
+def _block_sums(A: Matrix, B: Matrix | None, scale: float) -> float:
+    # Sum of squares of (A - B) / scale.
+    total = 0.0
+    for t in _diff_blocks(A, B, scale):
+        total += float(np.einsum("ij,ij->", t, t))
+    return total
+
+
+def _diff_blocks(A: Matrix, B: Matrix | None, scale: float = 1.0) -> Iterator[Matrix]:
+    # (A - B) / scale block by block, through one reused buffer where needed.
     arrays = (A,) if B is None else (A, B)
     for blk in blocks(*arrays, buffer=B is not None or scale != 1.0):
         t = blk[0]
@@ -132,27 +128,28 @@ def _block_sums(A: Matrix, B: Matrix | None, scale: float, with_max: bool) -> tu
             t = np.subtract(t, blk[1], out=blk[-1])
         if scale != 1.0:
             t = np.divide(t, scale, out=blk[-1])
-        total += float(np.einsum("ij,ij->", t, t))
-        if with_max:  # np.max, unlike max(), keeps a NaN entry's NaN
-            peak = float(np.max((peak, np.max(t), -np.min(t))))
-    return total, peak
+        yield t
 
 
 def frob_ratio(nums, dens) -> float:
     """(sum of ||A - B||_F over the (A, B) pairs ``nums``) / (sum of ||A||_F
-    over the matrices ``dens``), 0 if the denominator is 0, for norms that
-    leave the float range.
+    over the matrices ``dens``), 0 if the denominator is 0.
 
-    Every entry is divided by one power of two, 2^(p-1) with max |A| over
-    ``dens`` in [2^(p-1), 2^p), before it is squared.  That division is
-    exact, so the ratio is that of the unscaled norms even where those
-    overflow; :func:`frob_norm`'s rescale by the max itself is not exact and
-    its norm can still overflow.
+    The plain ratio of :func:`frob_norm` sums is returned when both sums lie
+    in [``FROB_RESCALE_BELOW``, inf).  Otherwise every entry is divided by
+    one power of two, 2^(p-1) with max |A| over ``dens`` (from
+    :func:`inf_norm`, which rejects a NaN or +-Inf there) in [2^(p-1), 2^p),
+    before it is squared.  That division is exact, so the ratio is that of
+    the unscaled norms even where those overflow or underflow.
     """
-    peak = max(_block_sums(A, None, 1.0, True)[1] for A in dens)
+    num = sum(frob_norm(A, B) for A, B in nums)
+    den = sum(frob_norm(A) for A in dens)
+    if FROB_RESCALE_BELOW <= num < math.inf and FROB_RESCALE_BELOW <= den < math.inf:
+        return num / den
+    peak = max(inf_norm(A) for A in dens)
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    num = sum(math.sqrt(_block_sums(A, B, scale, False)[0]) for A, B in nums)
-    den = sum(math.sqrt(_block_sums(A, None, scale, False)[0]) for A in dens)
+    num = sum(math.sqrt(_block_sums(A, B, scale)) for A, B in nums)
+    den = sum(math.sqrt(_block_sums(A, None, scale)) for A in dens)
     return num / den if den else 0.0
 
 
@@ -180,22 +177,21 @@ def blocks(*arrays: Matrix, buffer: bool = False) -> Iterator[tuple[Matrix, ...]
         yield views
 
 
-def inf_norm(M: Matrix) -> float:
-    """Maximum absolute entry, from one pass over M (no temporary of M's size).
+def inf_norm(M: Matrix, B: Matrix | None = None) -> float:
+    """max |M - B| (B = None means 0), from one pass over M's :func:`blocks`
+    (no temporary of M's size).
 
-    Each of M's :func:`blocks` gives its max and min while it is in cache.
-    NaN and +-Inf propagate through a block's min and max, so a non-finite
-    entry raises ValueError.
+    Each block of M - B gives its max and min while it is in cache.  NaN and
+    +-Inf propagate through a block's min and max, so a non-finite entry of
+    M - B raises ValueError.
     """
-    if M.size == 0:
-        return 0.0
-    hi, lo = -np.inf, np.inf
-    for (block,) in blocks(M):
-        b_hi, b_lo = np.max(block), np.min(block)
-        if not (np.isfinite(b_hi) and np.isfinite(b_lo)):
+    peak = 0.0
+    for t in _diff_blocks(M, B):
+        b = max(np.max(t), -np.min(t))  # NaN where t holds a NaN
+        if not np.isfinite(b):
             raise ValueError("matrix contains non-finite entries")
-        hi, lo = max(hi, b_hi), min(lo, b_lo)
-    return float(max(hi, -lo))
+        peak = max(peak, b)
+    return float(peak)
 
 
 def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:

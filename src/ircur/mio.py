@@ -47,11 +47,13 @@ def _sniff_format(path: Path) -> str:
 
 
 def write_matrix(M: Matrix, path) -> None:
-    """Write M to ``path``: CSV for a ``.csv`` suffix, else BIN."""
+    """Write M to ``path``: CSV for a ``.csv`` suffix, else BIN.  A matrix
+    that :func:`read_matrix` would refuse (not 2-D, or with a zero dimension)
+    raises ValueError before the file is opened."""
     path = Path(path)
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("only 2-D matrices can be written")
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError(f"only 2-D matrices without a zero dimension can be written: {M.shape}")
     if path.suffix.lower() == ".csv":
         np.savetxt(path, M, delimiter=",", fmt="%.17g")
     else:

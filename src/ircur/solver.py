@@ -38,9 +38,9 @@ While the cutoff lies above every entry of the slab residual, a step
 thresholds nothing.  In ``fixed`` mode such a step rebuilds the same
 L = CUR(D) bitwise.  Step 1 starts from L_0 = 0, so :func:`solve` scans
 the first draw's two D slabs and treats step 1 as idle exactly when their
-maximum is <= zeta0.  It runs that step with ``with_max``, reads
-m = max |D - L_1| on the slabs from its residual pass, and jumps to the
-first schedule index whose cutoff lies below m (capped at max_iter);
+maximum is <= zeta0.  It then scans m = max |D - L_1| on the slabs
+(:func:`matcore.inf_norm`) and jumps to the first schedule index whose
+cutoff lies below m (capped at max_iter);
 every step in between would repeat step 1 bitwise, so the result equals
 that of running every index.  A ``resampled`` step refits on a new draw,
 so it runs every index.
@@ -63,6 +63,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import (
+    FROB_RESCALE_BELOW,
     Matrix,
     PinvFactor,
     frob_norm,
@@ -256,8 +257,9 @@ def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet,
 @dataclass
 class Slabs:
     """D[I, :], D[:, J], the low-rank estimate L on the same slabs (with
-    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F.
-    """
+    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F, a
+    plain sum of :func:`matcore.frob_norm` passes (see :func:`step` where it
+    leaves the float range)."""
 
     rows: IndexSet
     cols: IndexSet
@@ -297,21 +299,17 @@ def sample_slabs(
     return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
 
 
-def step(
-    slabs: Slabs, zeta: float, rank: int, with_max: bool = False
-) -> tuple[CurFactors, SparseEstimate, float] | tuple[CurFactors, SparseEstimate, float, float]:
-    """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e),
-    and with ``with_max`` a fourth value m = max |(D - S_{k+1}) - L_{k+1}|
-    on the slabs (for the idle-head skip, see :mod:`ircur.solver`).
+def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
+    """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e).
 
     S_{k+1} is D - L_k thresholded at ``zeta``; the core H_r([D - S]_{I,J})
     and its pseudoinverse share one SVD.  L_{k+1} is evaluated into the
     record's L slabs, so a fixed-index caller steps the same record again;
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
-    taken from the D - S slabs that also serve as the new R and C, in the
-    residual pass that also gives m, and den = ``slabs.den``.  Where a norm
-    overflows, e comes from :func:`matcore.frob_ratio` instead.  The returned
+    taken from the D - S slabs that also serve as the new R and C, and
+    den = ``slabs.den``.  Where either lies outside [FROB_RESCALE_BELOW, inf),
+    e comes from :func:`matcore.frob_ratio` instead.  The returned
     :class:`SparseEstimate` holds the D and D - S slabs, so S is only
     formed when read.
     """
@@ -333,18 +331,14 @@ def step(
     # the two thresholds agree there too.
     _eval_slabs(cur, rows, cols, tracked(core.copy(order="C")), core,
                 slabs.l_rows, slabs.l_cols)
-    f_rows = frob_norm(r_new, slabs.l_rows, with_max=with_max)
-    f_cols = frob_norm(c_new, slabs.l_cols, with_max=with_max)
-    if with_max:
-        (f_rows, m_rows), (f_cols, m_cols) = f_rows, f_cols
-    num, den = f_rows + f_cols, slabs.den
-    if num < math.inf and den < math.inf:
-        e = num / den if den else 0.0
-    else:  # a norm overflowed, so num / den would be 0, NaN or inf
+    num, den = frob_norm(r_new, slabs.l_rows) + frob_norm(c_new, slabs.l_cols), slabs.den
+    if FROB_RESCALE_BELOW <= num < math.inf and FROB_RESCALE_BELOW <= den < math.inf:
+        e = num / den
+    else:  # a plain sum overflowed, or may have lost bits; one exact scale
         e = frob_ratio(((r_new, slabs.l_rows), (c_new, slabs.l_cols)),
                        (slabs.d_rows, slabs.d_cols))
     sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
-    return (cur, sparse, e, max(m_rows, m_cols)) if with_max else (cur, sparse, e)
+    return cur, sparse, e
 
 
 def solve(
@@ -408,12 +402,14 @@ def solve(
         # L_0 = 0, so step 1 thresholds nothing when the slab maximum is <= zeta.
         idle = (k == 0 and cfg.mode == "fixed"
                 and max(inf_norm(slabs.d_rows), inf_norm(slabs.d_cols)) <= zeta)
-        cur, sparse, e, *peak = step(slabs, zeta, cfg.rank, with_max=idle)
+        cur, sparse, e = step(slabs, zeta, cfg.rank)
         k_next = k + 1
-        if peak and e > cfg.eps:
-            # Step 1 thresholded nothing, so L_1 = CUR(D); a step at any
-            # cutoff >= m would threshold nothing and rebuild L_1 bitwise.
-            while k_next < cfg.max_iter and cfg.gamma**k_next * cfg.zeta0 >= peak[0]:
+        if idle and e > cfg.eps:
+            # Step 1 thresholded nothing, so L_1 = CUR(D) and D - S = D; a
+            # step at any cutoff >= m = max |D - L_1| on the slabs would
+            # threshold nothing and rebuild L_1 bitwise.
+            m = max(inf_norm(cur.R, slabs.l_rows), inf_norm(cur.C, slabs.l_cols))
+            while k_next < cfg.max_iter and cfg.gamma**k_next * cfg.zeta0 >= m:
                 k_next += 1
 
         trace.steps.append(k)

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from ircur import cli, experiments
 from ircur.cli import main
 from ircur.experiments import bench_specs, phase_trials, run_bench, run_phase_transition
 from ircur.matcore import frob_norm, inf_norm
-from ircur.mio import read_frame_dir, read_matrix, write_frame_dir, write_matrix
+from ircur.mio import BIN_MAGIC, read_frame_dir, read_matrix, write_frame_dir, write_matrix
 from ircur.sampling import RngSeed
 from ircur.solver import SolverConfig, solve
 from ircur.synth import (
@@ -167,9 +168,14 @@ def test_out_of_range_flag_value_is_a_usage_error(argv, clean_matrix, monkeypatc
     ]
 
 
+def write_empty_bin(M, path):
+    """The BIN file of M with a zero dimension, which write_matrix refuses."""
+    path.write_bytes(BIN_MAGIC + struct.pack("<ii", *M.shape))
+
+
 def test_solve_empty_bin_matrix_exit_one(tmp_path, capsys):
     p = tmp_path / "e.bin"
-    write_matrix(np.zeros((0, 3)), p)
+    write_empty_bin(np.zeros((0, 3)), p)
     assert main(["solve", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith("empty matrix")
@@ -332,7 +338,7 @@ def test_cur2svd_bad_factor_files_exit_one(tmp_path, shapes, capsys):
     paths = {}
     for name, shape in shapes.items():
         paths[name] = tmp_path / f"{name}.bin"
-        write_matrix(np.ones(shape), paths[name])
+        (write_empty_bin if 0 in shape else write_matrix)(np.ones(shape), paths[name])
     code = main([
         "cur2svd", "--c-file", str(paths["C"]), "--core-file", str(paths["core"]),
         "--r-file", str(paths["R"]), "--out-dir", str(tmp_path / "o"),

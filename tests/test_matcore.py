@@ -52,25 +52,33 @@ def test_frob_norm_zero_matrix():
     assert frob_norm(np.zeros((2, 2))) == 0.0
     for empty in (np.zeros((0, 3)), np.zeros((3, 0), order="F")):
         assert frob_norm(empty) == 0.0
-        assert frob_norm(empty, empty, with_max=True) == (0.0, 0.0)
+        assert frob_norm(empty, empty) == inf_norm(empty, empty) == 0.0
 
 
 def test_frob_norm_three_four_five():
     assert frob_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0, abs=0)
 
 
-def test_frob_norm_tiny_entries_keep_their_precision():
-    # Squared, these entries are subnormal or underflow to zero.
+def test_frob_ratio_tiny_entries_keep_their_precision():
+    # Squared, these entries are subnormal or underflow to zero, so the
+    # plain norms lose bits or read 0; frob_ratio's power-of-two scale is
+    # exact.
     for tiny in (6.350034439369157e-161, 1e-170, 1e-300):
         M = np.array([[0.0, 0.0], [tiny, -tiny]])
-        assert frob_norm(M) == pytest.approx(tiny * np.sqrt(2.0), rel=1e-15, abs=0.0)
-        assert frob_norm(2.0 * M) == pytest.approx(2.0 * frob_norm(M), rel=1e-15, abs=0.0)
-    assert frob_norm(np.zeros((3, 2))) == 0.0
+        assert frob_norm(M) < matcore.FROB_RESCALE_BELOW
+        assert frob_ratio(((2.0 * M, None),), (M,)) == 2.0
+        assert frob_ratio(((M, 0.5 * M),), (M,)) == 0.5
+        assert frob_ratio(((np.full((2, 2), tiny), None),), (M,)) == pytest.approx(
+            np.sqrt(2.0), rel=1e-15, abs=0.0)
+    assert frob_ratio(((np.zeros((3, 2)), None),), (np.zeros((3, 2)),)) == 0.0
 
 
-def test_frob_norm_huge_entries_do_not_overflow():
-    # Squared, these entries overflow.
-    assert frob_norm(np.full((3, 3), 1e200)) == pytest.approx(3e200, rel=1e-15, abs=0.0)
+def test_frob_ratio_huge_entries_do_not_overflow():
+    # Squared, these entries overflow, and so does the plain norm.
+    M = np.full((3, 3), 1e200)
+    assert frob_norm(M) == np.inf
+    assert frob_ratio(((M, None),), (np.eye(3) * 1e200,)) == pytest.approx(
+        np.sqrt(3.0), rel=1e-15, abs=0.0)
 
 
 def test_frob_norm_matches_summation_oracle():
@@ -101,6 +109,7 @@ def test_inf_norm_multi_block_is_bitwise_max(order):
     M = multi_block(order)
     for A in (M, M[::3, 1::2]):
         assert inf_norm(A) == np.max(np.abs(A))
+        assert inf_norm(A, np.zeros_like(A)) == inf_norm(A)
     M[-1, -1] = -50.0  # the extreme entry in the last block, and negative
     assert inf_norm(M) == 50.0
 
@@ -120,51 +129,55 @@ def test_inf_norm_rejects_non_finite_in_any_block(order, bad, where):
 @pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
 def test_diff_norms_multi_block_matches_dense_norm(orders):
     A, B = multi_block(orders[0]), multi_block(orders[1])
-    f, m = frob_norm(A, B, with_max=True)
-    assert f == pytest.approx(np.linalg.norm(A - B), rel=1e-13, abs=0.0)
-    assert m == np.max(np.abs(A - B))
-    assert frob_norm(A, B) == f
-    assert frob_norm(A) == frob_norm(A, with_max=True)[0] == pytest.approx(
-        np.linalg.norm(A), rel=1e-13)
-    assert frob_norm(A, with_max=True)[1] == inf_norm(A)
+    assert frob_norm(A, B) == pytest.approx(np.linalg.norm(A - B), rel=1e-13, abs=0.0)
+    assert inf_norm(A, B) == np.max(np.abs(A - B))
+    assert frob_norm(A) == pytest.approx(np.linalg.norm(A), rel=1e-13)
 
 
 @pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
 def test_diff_norms_tiny_entries_take_the_rescale_path(orders):
-    # Entries near 3e-160: their squares underflow.  Scaling by a power of
-    # two is exact here, so the oracle is the norm of the unscaled difference.
+    # Entries near 3e-160: their squares underflow, so the plain norm of
+    # the difference lies below FROB_RESCALE_BELOW and frob_ratio rescales.
+    # Scaling by a power of two is exact here, so the oracle is the
+    # unscaled difference.
     scale = 2.0**-530
     A0, B0 = multi_block(orders[0]), multi_block(orders[1])
-    f, m = frob_norm(A0 * scale, B0 * scale, with_max=True)
-    assert f < matcore.FROB_RESCALE_BELOW
-    assert f == pytest.approx(np.linalg.norm(A0 - B0) * scale, rel=1e-13, abs=0.0)
-    assert m == np.max(np.abs(A0 - B0)) * scale
-    assert frob_norm(A0 * scale, B0 * scale) == f
-    assert frob_norm(B0 * scale, B0 * scale, with_max=True) == (0.0, 0.0)
-    assert frob_norm(B0 * scale, B0 * scale) == 0.0
+    A, B = A0 * scale, B0 * scale
+    assert frob_norm(A, B) < matcore.FROB_RESCALE_BELOW
+    assert frob_ratio(((A, B),), (A,)) == frob_ratio(((A0, B0),), (A0,))
+    assert frob_ratio(((A, B),), (A,)) == pytest.approx(
+        np.linalg.norm(A0 - B0) / np.linalg.norm(A0), rel=1e-13, abs=0.0)
+    assert inf_norm(A, B) == np.max(np.abs(A0 - B0)) * scale
+    assert frob_ratio(((B, B),), (A,)) == inf_norm(B, B) == frob_norm(B, B) == 0.0
 
 
 @pytest.mark.parametrize("orders", ["CC", "FC"])
 @pytest.mark.parametrize("where", [(1, 2), (-2, -3)], ids=["first_block", "last_block"])
 def test_frob_norm_max_is_nan_or_inf_for_a_non_finite_entry(orders, where):
+    # The norm of A - B propagates the entry; its max raises.
     A, B = multi_block(orders[0]), multi_block(orders[1])
     for bad in (np.nan, np.inf, -np.inf):
         A[where] = bad
-        f, m = frob_norm(A, B, with_max=True)
-        assert (np.isnan(f) and np.isnan(m)) if np.isnan(bad) else f == m == np.inf
+        f = frob_norm(A, B)
+        assert np.isnan(f) if np.isnan(bad) else f == np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            inf_norm(A, B)
 
 
 @pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
 def test_frob_ratio_is_the_unscaled_ratio_where_the_norms_overflow(orders):
-    # Entries near 1e307: every norm is inf, but a power-of-two scale is
-    # exact, so the ratio is bitwise that of the unscaled matrices.
+    # At unit scale the ratio is the plain one.  Entries near 1e307 (2^1020)
+    # make every norm inf, and entries near 3e-160 (2^-530) make the squares
+    # underflow, but a power-of-two scale is exact, so the ratio is bitwise
+    # that of the unscaled matrices.
     A, B, C = multi_block(orders[0]), multi_block(orders[1]), multi_block(orders[0])
     ratio = frob_ratio(((A, B), (C, None)), (A, C))
-    big = [np.ldexp(M, 1020) for M in (A, B, C)]
-    assert frob_norm(big[0]) == frob_norm(big[0], big[1]) == np.inf
-    assert frob_ratio(((big[0], big[1]), (big[2], None)), (big[0], big[2])) == ratio
-    plain = (frob_norm(A, B) + frob_norm(C)) / (frob_norm(A) + frob_norm(C))
-    assert ratio == pytest.approx(plain, rel=1e-13, abs=0.0)
+    assert ratio == (frob_norm(A, B) + frob_norm(C)) / (frob_norm(A) + frob_norm(C))
+    for power in (1020, -530):
+        X, Y, Z = (np.ldexp(M, power) for M in (A, B, C))
+        for plain in (frob_norm(X), frob_norm(X, Y), frob_norm(Z)):
+            assert not matcore.FROB_RESCALE_BELOW <= plain < np.inf
+        assert frob_ratio(((X, Y), (Z, None)), (X, Z)) == ratio
     assert frob_ratio(((A, B),), (np.zeros_like(A),)) == 0.0
 
 
@@ -172,13 +185,14 @@ def test_frob_ratio_is_the_unscaled_ratio_where_the_norms_overflow(orders):
 def test_diff_norms_allocates_no_slab_sized_temporary(orders):
     A = np.asarray(rng.standard_normal((1000, 1000)), order=orders[0])
     B = np.asarray(rng.standard_normal((1000, 1000)), order=orders[1])
-    tracemalloc.start()
-    try:
-        frob_norm(A, B, with_max=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * matcore.BLOCK_BYTES < A.nbytes // 8
+    for norm in (frob_norm, inf_norm):
+        tracemalloc.start()
+        try:
+            norm(A, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matcore.BLOCK_BYTES < A.nbytes // 8, norm
 
 
 def test_submatrix_identity_slicing():

@@ -49,9 +49,19 @@ def test_empty_file_is_format_error(tmp_path):
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)], ids=["rows", "cols", "both"])
 def test_bin_matrix_with_a_zero_dimension_is_format_error(tmp_path, shape):
     p = tmp_path / "e.bin"
-    write_matrix(np.zeros(shape), p)
+    p.write_bytes(BIN_MAGIC + struct.pack("<ii", *shape))
     with pytest.raises(FormatError, match="empty matrix$"):
         read_matrix(p)
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)], ids=["rows", "cols", "both"])
+def test_write_matrix_rejects_a_zero_dimension(tmp_path, shape, suffix):
+    # read_matrix refuses such a matrix in either format, so it is never written.
+    p = tmp_path / f"e.{suffix}"
+    with pytest.raises(ValueError, match="zero dimension"):
+        write_matrix(np.zeros(shape), p)
+    assert not p.exists()
 
 
 def test_bad_magic_reports_offset_zero(tmp_path):

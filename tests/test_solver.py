@@ -114,16 +114,20 @@ def test_sample_slabs_l_slabs_follow_d_slab_order():
 def test_den_is_taken_at_the_draw(order, scale):
     # den is bitwise the two frob_norm passes over the D slabs, taken when
     # the draw is gathered, with or without an L to evaluate there, on a
-    # C-order row slab and an F-order column slab of several blocks each,
-    # also where the sum of squares overflows (2^520) or underflows
-    # (2^-660) and frob_norm rescales.
+    # C-order row slab and an F-order column slab of several blocks each.
+    # Where the sum of squares overflows (2^520) or underflows (2^-660) it
+    # is the plain sum, inf or 0, and step takes e from frob_ratio.
     D = np.asarray(rng.standard_normal((1200, 1100)) * scale, order=order)
     slabs = sample_slabs(D, sample_indices(1200, 200, RngSeed(68).generator()),
                          sample_indices(1100, 150, RngSeed(69).generator()))
     assert min(slabs.d_rows.nbytes, slabs.d_cols.nbytes) > 3 * matcore.BLOCK_BYTES
     assert slabs.d_rows.flags.c_contiguous and slabs.d_cols.flags.f_contiguous
     want = frob_norm(slabs.d_rows) + frob_norm(slabs.d_cols)
-    assert slabs.den == want and 0.0 < want < math.inf
+    assert slabs.den == want
+    if scale == 1.0:
+        assert 0.0 < want < math.inf
+    else:
+        assert want == (math.inf if scale > 1.0 else 0.0)
     # Steps on the same draw keep it.
     cur, _, _ = step(slabs, 2.0 * scale, 3)
     step(slabs, scale, 3)
@@ -538,9 +542,9 @@ def test_fixed_solve_zeta0_between_slab_max_and_d_max_skips_the_idle_head():
 def test_solve_scans_all_of_d_only_for_the_default_zeta0(mode, monkeypatch):
     shapes = []
 
-    def spy(M):
+    def spy(M, B=None):
         shapes.append(M.shape)
-        return inf_norm(M)
+        return inf_norm(M, B)
 
     monkeypatch.setattr(solver, "inf_norm", spy)
     monkeypatch.setattr(matcore, "inf_norm", spy)
@@ -549,8 +553,9 @@ def test_solve_scans_all_of_d_only_for_the_default_zeta0(mode, monkeypatch):
         shapes.clear()
         solve(D, SolverConfig(rank=5, zeta0=zeta0, mode=mode, max_iter=5, seed=RngSeed(31)))
         assert shapes.count(D.shape) == full_scans, zeta0
-        # A fixed solve scans its first draw's two slabs; resampled scans none.
-        assert len(shapes) - full_scans == (2 if mode == "fixed" else 0)
+        # A fixed solve scans its first draw's two D slabs and, after the
+        # idle step 1, the two slab residuals for m; resampled scans none.
+        assert len(shapes) - full_scans == (4 if mode == "fixed" else 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -692,28 +697,23 @@ def test_step_l_slabs_are_bitwise_cur_eval(mode, order):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_step_with_max_adds_the_slab_residual_max(order):
-    # m is max |(D - S) - L_{k+1}| over both slabs, and asking for it
-    # changes nothing else bitwise.  The first step is idle; the second
-    # starts from L_1 at a cutoff some entries pass.
+def test_fixed_solve_skips_to_the_first_cutoff_below_the_slab_residual_max(order):
+    # After an idle step 1, solve jumps to the first schedule index whose
+    # cutoff lies below m = max |(D - S) - L_1| over both slabs of the first
+    # draw, where D - S = D.
     inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(94)))
     D = np.asarray(inst.D, order=order)
-    rows = sample_indices(300, 60, RngSeed(95).generator())
-    cols = sample_indices(300, 60, RngSeed(96).generator())
-    plain, peaked = sample_slabs(D, rows, cols), sample_slabs(D, rows, cols)
-    for zeta in (inf_norm(D), 0.1 * inf_norm(inst.L)):
-        cur, sparse, e = step(plain, zeta, 5)
-        cur_m, sparse_m, e_m, m = step(peaked, zeta, 5, with_max=True)
-        fac, fac_m = cur.core_pinv, cur_m.core_pinv
-        for got, want in [(cur_m.C, cur.C), (cur_m.R, cur.R), (fac_m.W, fac.W),
-                          (fac_m.sigma, fac.sigma), (fac_m.V, fac.V),
-                          (sparse_m.rest_rows, sparse.rest_rows),
-                          (sparse_m.rest_cols, sparse.rest_cols)]:
-            assert got.tobytes() == want.tobytes()
-        assert e_m == e
-        assert m == max(np.max(np.abs(sparse.rest_rows - plain.l_rows)),
-                        np.max(np.abs(sparse.rest_cols - plain.l_cols)))
-    assert sparse.row_values.any()
+    cfg = SolverConfig(rank=5, max_iter=60, seed=RngSeed(95))
+    [(rows, cols)] = solve_draws(cfg, D.shape, 1)
+    slabs = sample_slabs(D, rows, cols)
+    _, sparse, _ = step(slabs, inf_norm(D), 5)
+    assert np.array_equal(sparse.rest_rows, slabs.d_rows)
+    assert np.array_equal(sparse.rest_cols, slabs.d_cols)
+    m = max(np.max(np.abs(slabs.d_rows - slabs.l_rows)),
+            np.max(np.abs(slabs.d_cols - slabs.l_cols)))
+    first = next(k for k in range(1, cfg.max_iter) if cfg.gamma**k * inf_norm(D) < m)
+    _, _, trace = solve(D, cfg)
+    assert first > 1 and trace.steps[:2] == [0, first]
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
@@ -917,12 +917,17 @@ def test_solve_recovers_at_extreme_scales(mode):
     # themselves overflow, so e and success_check need one common scale.
     # All these scales are exact, so the unscaled L is an overflow-free oracle.
     inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
-    for power in (520, -660, 1015, 1016, 1017):
+    errors = {}
+    for power in (0, 520, -660, 1015, 1016, 1017):
         D, L = np.ldexp(inst.D, power), np.ldexp(inst.L, power)
         cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
         cur, _, trace = solve(D, cfg)
         oracle = frob_norm(np.ldexp(cur_eval(cur), -power) - inst.L) <= 1e-3 * frob_norm(inst.L)
         assert oracle and trace.converged and success_check(cur, L), power
+        errors[power] = trace.errors
+    # Where the slab sums of squares overflow or underflow, e comes from one
+    # exact power-of-two scale, so it is bitwise e at unit scale.
+    assert errors[520] == errors[0] == errors[-660]
     # At 2**1018 the core's singular values leave the float range: an
     # error, not a converged run with wrong factors.
     D, L = np.ldexp(inst.D, 1018), np.ldexp(inst.L, 1018)

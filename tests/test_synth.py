@@ -180,6 +180,22 @@ def test_success_check_where_the_norms_overflow():
         assert success_check(cur, L) is ok, factor
 
 
+def test_success_check_where_the_norms_underflow_and_on_a_non_finite_truth():
+    # At 2**-660 the squares underflow and ||L||_F reads 0, yet L is not the
+    # zero truth: the check stays relative.  A NaN or +-Inf truth raises.
+    L = np.ldexp(make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3))).L, -660)
+    assert frob_norm(L) == 0.0
+    rows = sample_indices(300, 60, RngSeed(20).generator())
+    cols = sample_indices(300, 60, RngSeed(21).generator())
+    for factor, ok in ((1.0, True), (1.05, False)):
+        cur, _, _ = step(sample_slabs(factor * L, rows, cols), inf_norm(factor * L), 5)
+        assert success_check(cur, L) is ok, factor
+    for bad in (np.nan, np.inf, -np.inf):
+        L[7, 11] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            success_check(cur, L)
+
+
 def test_make_video_shapes_and_ground_truth():
     frames, background, boxes = make_video(80, 60, 12, RngSeed(22))
     assert frames.shape == (12, 60, 80)
