@@ -40,7 +40,7 @@ RANGE_SEED = 0
 
 # A Frobenius norm at or above this has normal squares in its largest
 # entries; below it frob_norm's plain sum loses bits (entries near 1e-160)
-# or reads 0, so frob_ratio rescales, as it does when that sum overflows.
+# or reads 0, so frob_scale rescales, as it does when that sum overflows.
 FROB_RESCALE_BELOW = 1e-140
 
 # Bytes of each operand per block of a blocked pass over a slab or matrix
@@ -98,25 +98,20 @@ def require_finite(M: Matrix) -> Matrix:
     return M
 
 
-def frob_norm(A: Matrix, B: Matrix | None = None) -> float:
-    """||A - B||_F (B = None means 0), from one pass over A's :func:`blocks`.
+def frob_norm(A: Matrix, B: Matrix | None = None, scale: float = 1.0) -> float:
+    """||A - B||_F / scale (B = None means 0), from one pass over A's blocks.
 
-    Each block of A - B goes to a block-sized buffer and its squares are
-    summed there by ``np.einsum``, which calls no BLAS (a threaded ``ddot``
-    can stall for milliseconds on a busy machine), so no temporary of A's
-    size is allocated.  The sum is plain: it loses bits or reads 0 below
-    ``FROB_RESCALE_BELOW`` and overflows to inf above about 1e154; a ratio
-    of such norms comes from :func:`frob_ratio`.
+    Each block of (A - B) / scale goes to a block-sized buffer and its
+    squares are summed there by ``np.einsum``, which calls no BLAS (a
+    threaded ``ddot`` can stall for milliseconds on a busy machine), so no
+    temporary of A's size is allocated.  The sum is plain: it loses bits or
+    reads 0 below ``FROB_RESCALE_BELOW`` and overflows to inf above about
+    1e154; :func:`frob_scale` gives a scale that keeps it in range.
     """
-    return math.sqrt(_block_sums(A, B, 1.0))
-
-
-def _block_sums(A: Matrix, B: Matrix | None, scale: float) -> float:
-    # Sum of squares of (A - B) / scale.
     total = 0.0
     for t in _diff_blocks(A, B, scale):
         total += float(np.einsum("ij,ij->", t, t))
-    return total
+    return math.sqrt(total)
 
 
 def _diff_blocks(A: Matrix, B: Matrix | None, scale: float = 1.0) -> Iterator[Matrix]:
@@ -131,26 +126,23 @@ def _diff_blocks(A: Matrix, B: Matrix | None, scale: float = 1.0) -> Iterator[Ma
         yield t
 
 
-def frob_ratio(nums, dens) -> float:
-    """(sum of ||A - B||_F over the (A, B) pairs ``nums``) / (sum of ||A||_F
-    over the matrices ``dens``), 0 if the denominator is 0.
+def frob_scale(*Ms: Matrix) -> tuple[float, float]:
+    """(den, scale) with den = (sum of ||M||_F over ``Ms``) / scale.
 
-    The plain ratio of :func:`frob_norm` sums is returned when both sums lie
-    in [``FROB_RESCALE_BELOW``, inf).  Otherwise every entry is divided by
-    one power of two, 2^(p-1) with max |A| over ``dens`` (from
-    :func:`inf_norm`, which rejects a NaN or +-Inf there) in [2^(p-1), 2^p),
-    before it is squared.  That division is exact, so the ratio is that of
-    the unscaled norms even where those overflow or underflow.
+    The plain sum of :func:`frob_norm` passes is returned with scale 1 when
+    it lies in [``FROB_RESCALE_BELOW``, inf).  Otherwise scale is 2^(p-1),
+    with max |M| over ``Ms`` (from :func:`inf_norm`, which rejects a NaN or
+    +-Inf there) in [2^(p-1), 2^p), or 1 for all-zero ``Ms``, and the sum is
+    retaken on it.  Division by a power of two is exact, so
+    ``frob_norm(A, B, scale) / den`` is the ratio of the unscaled norms even
+    where those overflow or underflow.
     """
-    num = sum(frob_norm(A, B) for A, B in nums)
-    den = sum(frob_norm(A) for A in dens)
-    if FROB_RESCALE_BELOW <= num < math.inf and FROB_RESCALE_BELOW <= den < math.inf:
-        return num / den
-    peak = max(inf_norm(A) for A in dens)
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    num = sum(math.sqrt(_block_sums(A, B, scale)) for A, B in nums)
-    den = sum(math.sqrt(_block_sums(A, None, scale)) for A in dens)
-    return num / den if den else 0.0
+    den = sum(frob_norm(M) for M in Ms)
+    if FROB_RESCALE_BELOW <= den < math.inf:
+        return den, 1.0
+    peak = max(inf_norm(M) for M in Ms)
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    return sum(frob_norm(M, None, scale) for M in Ms), scale
 
 
 def blocks(*arrays: Matrix, buffer: bool = False) -> Iterator[tuple[Matrix, ...]]:
@@ -200,18 +192,22 @@ def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
     Exactly one of ``rows``/``cols`` is an IndexSet or a raw index array,
     else ValueError.  Output order follows the selection order.
     Out-of-range indices raise IndexError; negative ones count from the end.
-    The values are those of numpy indexing, and a row gather is C-order and
-    a column gather F-order, whatever M's order.  A gather across M's
-    memory order (rows of an F-order M, columns of a C-order one) of more
-    than GATHER_LINES lines runs ``np.take`` along GATHER_LINES contiguous
-    lines at a time into one reused block buffer (metered as
+    So does a non-empty selection of a dtype that is not integer (a boolean
+    mask, floats).  The values are those of numpy indexing, and a row gather
+    is C-order and a column gather F-order, whatever M's order.  A gather
+    across M's memory order (rows of an F-order M, columns of a C-order one)
+    of more than GATHER_LINES lines runs ``np.take`` along GATHER_LINES
+    contiguous lines at a time into one reused block buffer (metered as
     GATHER_LINES * len(selection)) and copies each block's transpose out.
     """
     if (rows is None) == (cols is None):
         raise ValueError("submatrix gathers rows or columns: give exactly one of them")
     # A column gather is the transpose of a row gather from M.T.
     T, sel = (M, rows) if cols is None else (M.T, cols)
-    idx = np.asarray(getattr(sel, "indices", sel), dtype=np.int64)  # IndexSet or array
+    idx = np.asarray(getattr(sel, "indices", sel))  # IndexSet or array
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     m, n = T.shape
     if T.flags.c_contiguous or not T.flags.f_contiguous or n <= GATHER_LINES:
         out = tracked(T[idx, :])

@@ -54,14 +54,17 @@ class RngSeed:
 class IndexSet:
     """Sorted, deduplicated selection of row or column indices.
 
-    ``indices`` is strictly increasing int64; every index lies in
-    [0, bound).  At least one index is required.
+    ``indices`` is strictly increasing int64 (from integers, else
+    ValueError); every index lies in [0, bound).  At least one index is
+    required.
     """
 
     indices: np.ndarray
     bound: int
 
     def __post_init__(self) -> None:
+        if np.asarray(self.indices).dtype.kind not in "iu":
+            raise ValueError("indices must be integers")
         self.indices = np.asarray(self.indices, dtype=np.int64)
         if self.indices.ndim != 1 or self.indices.size < 1:
             raise ValueError("an IndexSet needs at least one index")

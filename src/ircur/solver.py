@@ -17,10 +17,10 @@ blocked pass (:func:`matcore.frob_norm`); iteration stops when it drops
 to ``eps``.  Per slab and step that is six slab-sized streams: the
 threshold reads D and L and writes D - S, the norm reads D - S and L, and
 the evaluation writes L.  The denominator den = ||D[I, :]||_F +
-||D[:, J]||_F of that statistic is taken once per draw, by
-:func:`sample_slabs`.  The D slabs are only read, so the two index
-policies below differ only in when I and J are drawn.  The full n x n
-estimates are never materialized.
+||D[:, J]||_F of that statistic and the norm scale that keeps it in the
+float range are taken once per draw, by :func:`sample_slabs`.  The D slabs
+are only read, so the two index policies below differ only in when I and
+J are drawn.  The full n x n estimates are never materialized.
 
 L is evaluated in one way, :meth:`matcore.PinvFactor.apply_right`: on
 rows x cols it is (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V
@@ -63,11 +63,10 @@ import numpy as np
 
 from . import matcore
 from .matcore import (
-    FROB_RESCALE_BELOW,
     Matrix,
     PinvFactor,
     frob_norm,
-    frob_ratio,
+    frob_scale,
     inf_norm,
     submatrix,
     tracked,
@@ -257,9 +256,9 @@ def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet,
 @dataclass
 class Slabs:
     """D[I, :], D[:, J], the low-rank estimate L on the same slabs (with
-    bitwise-equal (I, J) blocks) and den = ||D[I, :]||_F + ||D[:, J]||_F, a
-    plain sum of :func:`matcore.frob_norm` passes (see :func:`step` where it
-    leaves the float range)."""
+    bitwise-equal (I, J) blocks), and den = (||D[I, :]||_F + ||D[:, J]||_F)
+    / scale from :func:`matcore.frob_scale`: scale is 1 unless the plain
+    sum leaves [FROB_RESCALE_BELOW, inf), and then a power of two."""
 
     rows: IndexSet
     cols: IndexSet
@@ -268,6 +267,7 @@ class Slabs:
     l_rows: Matrix
     l_cols: Matrix
     den: float
+    scale: float
 
 
 def sample_slabs(
@@ -276,18 +276,15 @@ def sample_slabs(
     """Gather D on rows/cols, take den, and evaluate ``cur`` there (L = 0 if None).
 
     Every draw of :func:`solve` comes through here, and so does its check:
-    den is not finite when a D slab holds a NaN or +-Inf, which
-    :func:`matcore.inf_norm` then rejects with ValueError, or when a norm
-    overflows, which :func:`step` handles.  Each L slab takes the memory
-    order of its D slab (a column gather is F-order), so the slab passes of
-    :func:`step` read both contiguously.  ``cur`` is evaluated from the
+    :func:`matcore.frob_scale` rejects a NaN or +-Inf in a D slab with
+    ValueError.  Each L slab takes the memory order of its D slab (a column
+    gather is F-order), so the slab passes of :func:`step` read both
+    contiguously.  ``cur`` is evaluated from the
     gathers C[rows] and R[:, cols] of its factors.
     """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
-    den = frob_norm(d_rows) + frob_norm(d_cols)
-    if not den < math.inf:  # a NaN or +-Inf raises here; else a norm overflowed
-        inf_norm(d_rows), inf_norm(d_cols)
+    den, scale = frob_scale(d_rows, d_cols)
     if cur is None:
         l_rows = tracked(np.zeros_like(d_rows))
         l_cols = tracked(np.zeros_like(d_cols))
@@ -296,7 +293,7 @@ def sample_slabs(
         l_cols = tracked(np.empty_like(d_cols))
         _eval_slabs(cur, rows, cols, submatrix(cur.C, rows, None),
                     submatrix(cur.R, None, cols), l_rows, l_cols)
-    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den)
+    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den, scale)
 
 
 def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
@@ -307,9 +304,8 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     record's L slabs, so a fixed-index caller steps the same record again;
     the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
-    taken from the D - S slabs that also serve as the new R and C, and
-    den = ``slabs.den``.  Where either lies outside [FROB_RESCALE_BELOW, inf),
-    e comes from :func:`matcore.frob_ratio` instead.  The returned
+    taken from the D - S slabs that also serve as the new R and C, on the
+    draw's ``slabs.scale`` as den = ``slabs.den`` is.  The returned
     :class:`SparseEstimate` holds the D and D - S slabs, so S is only
     formed when read.
     """
@@ -331,12 +327,9 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     # the two thresholds agree there too.
     _eval_slabs(cur, rows, cols, tracked(core.copy(order="C")), core,
                 slabs.l_rows, slabs.l_cols)
-    num, den = frob_norm(r_new, slabs.l_rows) + frob_norm(c_new, slabs.l_cols), slabs.den
-    if FROB_RESCALE_BELOW <= num < math.inf and FROB_RESCALE_BELOW <= den < math.inf:
-        e = num / den
-    else:  # a plain sum overflowed, or may have lost bits; one exact scale
-        e = frob_ratio(((r_new, slabs.l_rows), (c_new, slabs.l_cols)),
-                       (slabs.d_rows, slabs.d_cols))
+    s = slabs.scale
+    num = frob_norm(r_new, slabs.l_rows, s) + frob_norm(c_new, slabs.l_cols, s)
+    e = num / slabs.den if slabs.den else 0.0
     sparse = SparseEstimate(slabs.d_rows, slabs.d_cols, r_new, c_new, rows, cols)
     return cur, sparse, e
 

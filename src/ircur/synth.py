@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import Matrix, frob_norm, frob_ratio, inf_norm
+from .matcore import Matrix, frob_norm, frob_scale, inf_norm
 from .sampling import RngSeed
 from .solver import CurFactors, cur_eval
 
@@ -144,12 +144,13 @@ def success_check(cur: CurFactors, L_true: Matrix) -> bool:
     relative Frobenius error of L_true (absolute error if L_true == 0).
 
     Test-scale only: materializes the CUR product, but not its difference
-    from L_true.  The ratio comes from :func:`matcore.frob_ratio`, so it
-    holds where the norms leave the float range, and a NaN or +-Inf in
-    L_true raises ValueError.
+    from L_true.  Both norms are taken on L_true's :func:`matcore.frob_scale`,
+    so the ratio holds where they leave the float range, and a NaN or +-Inf
+    in L_true raises ValueError.
     """
     est = cur_eval(cur)
-    err = frob_ratio(((est, L_true),), (L_true,)) if L_true.any() else frob_norm(est)
+    den, s = frob_scale(L_true)
+    err = frob_norm(est, L_true, s) / den if den else frob_norm(est)
     return err <= SUCCESS_TOL
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from ircur.matcore import (
     PinvFactor,
     SvdFactors,
     frob_norm,
-    frob_ratio,
+    frob_scale,
     inf_norm,
     pinv_factor,
     qr_thin,
@@ -59,26 +60,37 @@ def test_frob_norm_three_four_five():
     assert frob_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0, abs=0)
 
 
+def scaled_ratio(nums, dens):
+    """Sum of frob_norm(A, B) over ``nums`` over the sum of ||M||_F over
+    ``dens``, both on the scale frob_scale picks for ``dens`` (0 for den 0)."""
+    den, scale = frob_scale(*dens)
+    num = sum(frob_norm(A, B, scale) for A, B in nums)
+    return num / den if den else 0.0
+
+
 def test_frob_ratio_tiny_entries_keep_their_precision():
     # Squared, these entries are subnormal or underflow to zero, so the
-    # plain norms lose bits or read 0; frob_ratio's power-of-two scale is
-    # exact.
+    # plain norms lose bits or read 0; frob_scale's power of two is exact.
     for tiny in (6.350034439369157e-161, 1e-170, 1e-300):
         M = np.array([[0.0, 0.0], [tiny, -tiny]])
         assert frob_norm(M) < matcore.FROB_RESCALE_BELOW
-        assert frob_ratio(((2.0 * M, None),), (M,)) == 2.0
-        assert frob_ratio(((M, 0.5 * M),), (M,)) == 0.5
-        assert frob_ratio(((np.full((2, 2), tiny), None),), (M,)) == pytest.approx(
+        assert frob_scale(M)[1] < 1.0
+        assert scaled_ratio(((2.0 * M, None),), (M,)) == 2.0
+        assert scaled_ratio(((M, 0.5 * M),), (M,)) == 0.5
+        assert scaled_ratio(((np.full((2, 2), tiny), None),), (M,)) == pytest.approx(
             np.sqrt(2.0), rel=1e-15, abs=0.0)
-    assert frob_ratio(((np.zeros((3, 2)), None),), (np.zeros((3, 2)),)) == 0.0
+    zero = np.zeros((3, 2))
+    assert frob_scale(zero) == (0.0, 1.0)
+    assert scaled_ratio(((zero, None),), (zero,)) == 0.0
 
 
 def test_frob_ratio_huge_entries_do_not_overflow():
     # Squared, these entries overflow, and so does the plain norm.
     M = np.full((3, 3), 1e200)
     assert frob_norm(M) == np.inf
-    assert frob_ratio(((M, None),), (np.eye(3) * 1e200,)) == pytest.approx(
-        np.sqrt(3.0), rel=1e-15, abs=0.0)
+    den, scale = frob_scale(np.eye(3) * 1e200)
+    assert scale > 1.0 and den < np.inf
+    assert frob_norm(M, None, scale) / den == pytest.approx(np.sqrt(3.0), rel=1e-15, abs=0.0)
 
 
 def test_frob_norm_matches_summation_oracle():
@@ -137,18 +149,21 @@ def test_diff_norms_multi_block_matches_dense_norm(orders):
 @pytest.mark.parametrize("orders", ["CC", "FF", "FC", "CF"])
 def test_diff_norms_tiny_entries_take_the_rescale_path(orders):
     # Entries near 3e-160: their squares underflow, so the plain norm of
-    # the difference lies below FROB_RESCALE_BELOW and frob_ratio rescales.
+    # the difference lies below FROB_RESCALE_BELOW and frob_scale rescales.
     # Scaling by a power of two is exact here, so the oracle is the
     # unscaled difference.
     scale = 2.0**-530
     A0, B0 = multi_block(orders[0]), multi_block(orders[1])
     A, B = A0 * scale, B0 * scale
     assert frob_norm(A, B) < matcore.FROB_RESCALE_BELOW
-    assert frob_ratio(((A, B),), (A,)) == frob_ratio(((A0, B0),), (A0,))
-    assert frob_ratio(((A, B),), (A,)) == pytest.approx(
+    # The scale is 2^(p-1) with max |A| in [2^(p-1), 2^p).
+    assert frob_scale(A0)[1] == 1.0
+    assert frob_scale(A)[1] == math.ldexp(scale, math.frexp(inf_norm(A0))[1] - 1)
+    assert scaled_ratio(((A, B),), (A,)) == scaled_ratio(((A0, B0),), (A0,))
+    assert scaled_ratio(((A, B),), (A,)) == pytest.approx(
         np.linalg.norm(A0 - B0) / np.linalg.norm(A0), rel=1e-13, abs=0.0)
     assert inf_norm(A, B) == np.max(np.abs(A0 - B0)) * scale
-    assert frob_ratio(((B, B),), (A,)) == inf_norm(B, B) == frob_norm(B, B) == 0.0
+    assert scaled_ratio(((B, B),), (A,)) == inf_norm(B, B) == frob_norm(B, B) == 0.0
 
 
 @pytest.mark.parametrize("orders", ["CC", "FC"])
@@ -171,14 +186,21 @@ def test_frob_ratio_is_the_unscaled_ratio_where_the_norms_overflow(orders):
     # underflow, but a power-of-two scale is exact, so the ratio is bitwise
     # that of the unscaled matrices.
     A, B, C = multi_block(orders[0]), multi_block(orders[1]), multi_block(orders[0])
-    ratio = frob_ratio(((A, B), (C, None)), (A, C))
-    assert ratio == (frob_norm(A, B) + frob_norm(C)) / (frob_norm(A) + frob_norm(C))
+    den, scale = frob_scale(A, C)
+    assert (den, scale) == (frob_norm(A) + frob_norm(C), 1.0)
+    ratio = scaled_ratio(((A, B), (C, None)), (A, C))
+    assert ratio == (frob_norm(A, B) + frob_norm(C)) / den
     for power in (1020, -530):
         X, Y, Z = (np.ldexp(M, power) for M in (A, B, C))
         for plain in (frob_norm(X), frob_norm(X, Y), frob_norm(Z)):
             assert not matcore.FROB_RESCALE_BELOW <= plain < np.inf
-        assert frob_ratio(((X, Y), (Z, None)), (X, Z)) == ratio
-    assert frob_ratio(((A, B),), (np.zeros_like(A),)) == 0.0
+        assert scaled_ratio(((X, Y), (Z, None)), (X, Z)) == ratio
+    assert scaled_ratio(((A, B),), (np.zeros_like(A),)) == 0.0
+    # A NaN or +-Inf makes the plain sum NaN or inf, and inf_norm's scan raises.
+    for bad in (np.nan, np.inf, -np.inf):
+        C[-2, -3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            frob_scale(A, C)
 
 
 @pytest.mark.parametrize("orders", ["CC", "FC"])
@@ -229,6 +251,24 @@ def test_submatrix_takes_exactly_one_of_rows_and_cols(selection):
 def test_submatrix_out_of_range():
     with pytest.raises(IndexError):
         submatrix(np.eye(3), rows=np.array([3]))
+
+
+@pytest.mark.parametrize("path", ["numpy", "blocked"])
+def test_submatrix_takes_only_integer_selections(path):
+    # A row gather from an F-order M wider than GATHER_LINES takes the
+    # blocked np.take path; from a C-order M it is numpy indexing.  A
+    # boolean mask or float indices raise, as float indices do in numpy;
+    # lists of ints and empty selections are gathered.
+    M = np.asarray(rng.standard_normal((3, 2 * matcore.GATHER_LINES)),
+                   order="F" if path == "blocked" else "C")
+    for bad in (np.array([True, False, True]), np.array([0.9, 2.2]), [0.0]):
+        for sel in ({"rows": bad}, {"cols": bad}):
+            with pytest.raises(IndexError, match="integers"):
+                submatrix(M, **sel)
+    assert np.array_equal(submatrix(M, rows=[2, 0]), M[[2, 0], :])
+    assert np.array_equal(submatrix(M, cols=[1, 0]), M[:, [1, 0]])
+    assert submatrix(M, rows=[]).shape == (0, M.shape[1])
+    assert submatrix(M, rows=np.array([], dtype=np.float64)).shape == (0, M.shape[1])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -455,9 +495,13 @@ def test_qr_thin_shape_error():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
 @settings(max_examples=40)
 def test_frob_norm_nonnegative_and_scales(vals):
+    # frob_scale returns the plain norm with scale 1 in range; entries near
+    # 1e-161 have subnormal squares, and there the norm is on its scale.
     M = np.array(vals).reshape(2, 2)
     assert frob_norm(M) >= 0.0
-    assert frob_norm(2.0 * M) == pytest.approx(2.0 * frob_norm(M), rel=1e-12, abs=1e-300)
+    den, scale = frob_scale(M)
+    den2, scale2 = frob_scale(2.0 * M)
+    assert den2 * scale2 == pytest.approx(2.0 * den * scale, rel=1e-12, abs=1e-300)
 
 
 def test_allocation_meter_counts_and_resets():

@@ -101,6 +101,11 @@ def test_index_set_validation():
         IndexSet(np.array([5]), 5)
     with pytest.raises(ValueError):
         IndexSet(np.array([], dtype=np.int64), 5)
+    # Not truncated, and a boolean mask is not a selection of its positions.
+    for bad in (np.array([0.9, 2.2]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match="integers"):
+            IndexSet(bad, 3)
+    assert IndexSet([0, 2], 3).indices.dtype == np.int64
 
 
 def test_index_set_helpers():

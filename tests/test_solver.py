@@ -110,29 +110,37 @@ def test_sample_slabs_l_slabs_follow_d_slab_order():
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("scale", [1.0, 2.0**520, 2.0**-660], ids=["unit", "2^520", "2^-660"])
-def test_den_is_taken_at_the_draw(order, scale):
-    # den is bitwise the two frob_norm passes over the D slabs, taken when
-    # the draw is gathered, with or without an L to evaluate there, on a
-    # C-order row slab and an F-order column slab of several blocks each.
-    # Where the sum of squares overflows (2^520) or underflows (2^-660) it
-    # is the plain sum, inf or 0, and step takes e from frob_ratio.
-    D = np.asarray(rng.standard_normal((1200, 1100)) * scale, order=order)
-    slabs = sample_slabs(D, sample_indices(1200, 200, RngSeed(68).generator()),
-                         sample_indices(1100, 150, RngSeed(69).generator()))
+@pytest.mark.parametrize("power", [0, 520, -660], ids=["unit", "2^520", "2^-660"])
+def test_den_is_taken_at_the_draw(order, power):
+    # den is taken when the draw is gathered, with or without an L to
+    # evaluate there, on a C-order row slab and an F-order column slab of
+    # several blocks each.  At unit scale it is bitwise the two plain
+    # frob_norm passes over the D slabs.  Where their sums of squares
+    # overflow (2^520) or underflow (2^-660) it is taken on a power-of-two
+    # scale, which is exact: den * scale is bitwise the unit-scale den
+    # times 2^power.
+    D0 = np.random.default_rng(70).standard_normal((1200, 1100))
+    D = np.asarray(np.ldexp(D0, power), order=order)
+    rows = sample_indices(1200, 200, RngSeed(68).generator())
+    cols = sample_indices(1100, 150, RngSeed(69).generator())
+    slabs = sample_slabs(D, rows, cols)
     assert min(slabs.d_rows.nbytes, slabs.d_cols.nbytes) > 3 * matcore.BLOCK_BYTES
     assert slabs.d_rows.flags.c_contiguous and slabs.d_cols.flags.f_contiguous
-    want = frob_norm(slabs.d_rows) + frob_norm(slabs.d_cols)
-    assert slabs.den == want
-    if scale == 1.0:
-        assert 0.0 < want < math.inf
+    unit = frob_norm(D0[rows.indices]) + frob_norm(D0[:, cols.indices])
+    plain = frob_norm(slabs.d_rows) + frob_norm(slabs.d_cols)
+    if power == 0:
+        assert (slabs.den, slabs.scale) == (plain, 1.0) and 0.0 < plain < math.inf
     else:
-        assert want == (math.inf if scale > 1.0 else 0.0)
+        assert plain == (math.inf if power > 0 else 0.0)
+        assert slabs.scale != 1.0
+        assert slabs.den * slabs.scale == math.ldexp(unit, power)
+    want = (slabs.den, slabs.scale)
     # Steps on the same draw keep it.
-    cur, _, _ = step(slabs, 2.0 * scale, 3)
-    step(slabs, scale, 3)
-    assert slabs.den == want
-    assert sample_slabs(D, slabs.rows, slabs.cols, cur).den == want
+    cur, _, _ = step(slabs, math.ldexp(2.0, power), 3)
+    step(slabs, math.ldexp(1.0, power), 3)
+    assert (slabs.den, slabs.scale) == want
+    again = sample_slabs(D, rows, cols, cur)
+    assert (again.den, again.scale) == want
 
 
 # ------------------------------------------------------------- CUR evaluation
@@ -810,21 +818,19 @@ def s_writing_hard_threshold(D, L, zeta):
     return S, rest
 
 
-def slab_residual_norms(A, B=None, with_max=False):
-    """frob_norm from a slab-sized A - B and a BLAS norm."""
-    res = A if B is None else A - B
-    f = float(np.linalg.norm(res, "fro"))
-    if f < matcore.FROB_RESCALE_BELOW and res.any():
-        f = inf_norm(res) * float(np.linalg.norm(res / inf_norm(res), "fro"))
-    return (f, inf_norm(res)) if with_max else f
+def slab_residual_norms(A, B, scale):
+    """frob_norm from a slab-sized (A - B) / scale and a BLAS norm."""
+    res = A - B
+    if scale != 1.0:
+        res /= scale
+    return float(np.linalg.norm(res, "fro"))
 
 
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     # The solver with the kernels that wrote S and a residual slab swapped
-    # back in, and den taken by two separate frob_norm passes: same
-    # schedule, bitwise factors, and S = D - (D - S) equals the S those
-    # kernels wrote.
+    # back in: same schedule, bitwise factors, and S = D - (D - S) equals
+    # the S those kernels wrote.  These unit-scale draws all have scale 1.
     cases = [(c, alpha, seed) for c, alpha in [(4, .1), (2, .2), (1, .1), (4, .3)]
              for seed in range(2)]
     runs = {}
@@ -835,11 +841,9 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
                 S, rest = s_writing_hard_threshold(D, L, zeta)
                 written.append(S)
                 return rest
-            def residual_norms(A, B=None, with_max=False):
-                if B is None:  # den, at the draw
-                    return matcore.frob_norm(A)
-                residuals.append(with_max)
-                return slab_residual_norms(A, B, with_max)
+            def residual_norms(A, B, scale):
+                residuals.append(scale)
+                return slab_residual_norms(A, B, scale)
             monkeypatch.setattr(solver, "hard_threshold", threshold_writing_s)
             monkeypatch.setattr(solver, "frob_norm", residual_norms)
         runs[kernels] = []
@@ -854,6 +858,7 @@ def test_solve_matches_the_kernels_that_wrote_s(mode, monkeypatch):
     # Both swapped-in kernels ran on both slabs of every step.
     executed = sum(len(trace.steps) for _, _, trace in runs["s_writing"])
     assert len(written) == len(residuals) == 2 * executed
+    assert set(residuals) == {1.0}
     for (cur, S, trace), (ref_cur, ref_S, ref) in zip(runs["blocked"], runs["s_writing"]):
         assert (trace.iterations, trace.steps, trace.converged) == (
             ref.iterations, ref.steps, ref.converged)
@@ -934,6 +939,35 @@ def test_solve_recovers_at_extreme_scales(mode):
     cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), mode=mode, seed=RngSeed(1))
     with pytest.raises(ValueError, match="singular values overflow"):
         solve(D, cfg)
+
+
+def test_extreme_scale_costs_one_scale_per_draw(monkeypatch):
+    # The draw's norm scale is taken once, at the draw: a fixed solve at
+    # 2**520 or 2**-660 makes two more frob_norm passes (den on its scale)
+    # and two more inf_norm scans (the D slabs' peak) than at unit scale,
+    # however many steps it runs.
+    calls = {"frob_norm": 0, "inf_norm": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        for module in (matcore, solver):
+            monkeypatch.setattr(module, name, counted)
+
+    spy("frob_norm", matcore.frob_norm)
+    spy("inf_norm", matcore.inf_norm)
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
+    counts, errors = {}, {}
+    for power in (0, 520, -660):
+        D, L = np.ldexp(inst.D, power), np.ldexp(inst.L, power)
+        cfg = SolverConfig(rank=5, zeta0=2.0 * inf_norm(L), seed=RngSeed(1))
+        calls.update(frob_norm=0, inf_norm=0)
+        _, _, trace = solve(D, cfg)
+        counts[power], errors[power] = dict(calls), trace.errors
+    assert errors[520] == errors[0] == errors[-660]
+    for power in (520, -660):
+        assert counts[power] == {name: n + 2 for name, n in counts[0].items()}, counts
 
 
 def test_solver_config_validation():
