@@ -236,9 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; a bad flag value exits 2 as a usage error,
     unreadable, malformed or empty input files and a ValueError from the
-    solve (a NaN or +-Inf it samples, a core beyond the float range) exit
-    with EXIT_ERROR, and a solve or video run that stops at --max-iter exits
-    with EXIT_NOT_CONVERGED."""
+    solve or conversion (a NaN or +-Inf the solve samples; a spectrum
+    beyond the float range, checked where each matcore.SvdFactors is made
+    and on cur_to_svd's middle factor) exit with EXIT_ERROR before any
+    write, and a solve or video run that stops at --max-iter exits with
+    EXIT_NOT_CONVERGED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

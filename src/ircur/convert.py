@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import Matrix, PinvFactor, SvdFactors, qr_thin, tracked
+from .matcore import Matrix, SvdFactors, qr_thin, tracked
 
 # Relative level below which converted singular values are reported as
 # exact zeros and their columns dropped, yielding a compact SVD.
 COMPACT_DROP = 1e-14
 
 
-def cur_to_svd(C: Matrix, core_pinv: PinvFactor, R: Matrix) -> SvdFactors:
+def cur_to_svd(C: Matrix, core_pinv: SvdFactors, R: Matrix) -> SvdFactors:
     """Compact SVD of the product C * U+ * R without materializing it.
 
     W and V have orthonormal columns and W * diag(sigma) * V^T reproduces
     the product.  The pseudoinverse is applied through its factored form,
-    inheriting the solver's rank truncation.
+    inheriting the solver's rank truncation.  A middle factor R_A R_B^T
+    that is not finite (the product's singular values overflow before its
+    SVD) raises ValueError, and the :class:`SvdFactors` returned checks
+    sigma as every SVD in ircur does.
     """
     if C.ndim != 2 or R.ndim != 2:
         raise ValueError("C and R must be 2-D matrices")
@@ -40,11 +43,16 @@ def cur_to_svd(C: Matrix, core_pinv: PinvFactor, R: Matrix) -> SvdFactors:
         )
     # At least one column, so a zero product still gets orthonormal W and V.
     k = max(1, core_pinv.effective_rank)
-    A = tracked(C @ core_pinv.V[:, :k])
-    A *= core_pinv.inv_sigma[:k]
-    q_c, r_c = qr_thin(A)
-    q_r, r_r = qr_thin(tracked(R.T @ core_pinv.W[:, :k]))
-    w_u, sigma, v_u_t = np.linalg.svd(tracked(r_c @ r_r.T), full_matrices=False)
+    # An L beyond the float range overflows here, before any SVD: rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = tracked(C @ core_pinv.V[:, :k])
+        A *= core_pinv.inv_sigma[:k]
+        q_c, r_c = qr_thin(A)
+        q_r, r_r = qr_thin(tracked(R.T @ core_pinv.W[:, :k]))
+        middle = tracked(r_c @ r_r.T)
+    if not np.isfinite(middle).all():
+        raise ValueError("singular values overflow the float range")
+    w_u, sigma, v_u_t = np.linalg.svd(middle, full_matrices=False)
     W = tracked(q_c @ w_u)
     V = tracked(q_r @ v_u_t.T)
     smax = sigma[0] if sigma.size else 0.0

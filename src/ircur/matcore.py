@@ -16,7 +16,7 @@ memory bounds on top of these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -227,86 +227,33 @@ def submatrix(M: Matrix, rows=None, cols=None) -> Matrix:
 
 @dataclass
 class SvdFactors:
-    """Compact SVD triple: orthonormal W, nonincreasing sigma >= 0, orthonormal V."""
+    """SVD factors of a small matrix U, which also hold its pseudoinverse U+.
+
+    W and V have orthonormal columns and sigma is nonincreasing and >= 0,
+    so ``dense()`` gives W diag(sigma) V^T.  ``inv_sigma`` holds 1/sigma
+    where sigma > ``PINV_CUTOFF * sigma_max`` and 0 elsewhere, and U+ =
+    V diag(inv_sigma) W^T is applied on either side without being formed.
+    The spectrum is checked here, so no factors beyond the float range
+    exist: a sigma that is not finite, or a kept sigma whose reciprocal
+    overflows (one below 2^-1024), raises ValueError.
+    """
 
     W: Matrix
     sigma: np.ndarray
     V: Matrix
+    inv_sigma: np.ndarray = field(init=False)
 
-    def dense(self) -> Matrix:
-        """Materialize W * diag(sigma) * V^T (small factors only)."""
-        return tracked((self.W * self.sigma) @ self.V.T)
-
-
-def truncated_svd(M: Matrix, r: int) -> SvdFactors:
-    """Best rank-r approximation factors of M.
-
-    Returns min(r, min(M.shape)) singular triplets; if rank(M) < r the
-    trailing sigma entries are (numerically) zero.  When
-    2 * (r + RANGE_OVERSAMPLE) <= min(M.shape), only those triplets are
-    computed: Y = M Omega for a fixed-seed Gaussian Omega with
-    r + RANGE_OVERSAMPLE columns, then RANGE_POWER_STEPS times
-    Y = M (M^T orth(Y)), and the SVD of the small Q^T M with Q = orth(Y)
-    rotates into W = Q w.  The error in the kept subspace shrinks like
-    (sigma_{r+RANGE_OVERSAMPLE+1} / sigma_r)^(2 RANGE_POWER_STEPS + 1).
-    M (M^T Q) squares M's magnitude, so that path runs on M times the power
-    of two that brings max|M| into [0.5, 1) and divides sigma by it after;
-    a power of two scales every entry exactly, so W, V and sigma are
-    bitwise those of the unscaled path wherever its products neither
-    overflow nor underflow.  Smaller matrices (and every ``pinv_factor``,
-    where r = min(M.shape)) take an exact dense SVD.  A singular value
-    beyond the float range (M's entries near it) raises ValueError on
-    either path.
-    """
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
-    width = r + RANGE_OVERSAMPLE
-    if 2 * width > min(M.shape):
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        tracked(U), tracked(s), tracked(Vt)
-        k = min(r, s.size)
-        return _finite_sigma(SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T))
-    # max and min, not inf_norm: the benchmark counts inf_norm as an entry scan.
-    shift = -math.frexp(max(float(M.max()), -float(M.min())))[1]  # 0 for M == 0
-    M = tracked(np.ldexp(M, shift))
-    omega = np.random.default_rng(RANGE_SEED).standard_normal((M.shape[1], width))
-    Y = tracked(M @ tracked(omega))
-    for _ in range(RANGE_POWER_STEPS):
-        Q = tracked(np.linalg.qr(Y)[0])
-        Y = tracked(M @ tracked(M.T @ Q))
-    Q = tracked(np.linalg.qr(Y)[0])
-    w, s, Vt = np.linalg.svd(tracked(Q.T @ M), full_matrices=False)
-    tracked(w), tracked(s), tracked(Vt)
-    with np.errstate(over="ignore"):  # an overflow is an inf, rejected below
-        np.ldexp(s, -shift, out=s)
-    return _finite_sigma(SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T))
-
-
-def _finite_sigma(fac: SvdFactors) -> SvdFactors:
-    if not np.isfinite(fac.sigma).all():
-        raise ValueError("singular values overflow the float range")
-    return fac
-
-
-@dataclass
-class PinvFactor(SvdFactors):
-    """Pseudoinverse of a small matrix U, held in factored form.
-
-    Holds the SVD factors of U (so ``dense()`` rebuilds the rank-truncated
-    U itself), with singular values at or below ``PINV_CUTOFF * sigma_max``
-    zeroed in ``inv_sigma``, and applies U+ on either side without ever
-    materializing U+ densely.
-    """
-
-    inv_sigma: np.ndarray  # k, 1/sigma where kept, else 0
-
-    @classmethod
-    def from_svd(cls, fac: SvdFactors) -> "PinvFactor":
-        smax = fac.sigma[0] if fac.sigma.size else 0.0
-        inv = np.zeros_like(fac.sigma)
-        kept = fac.sigma > PINV_CUTOFF * smax  # none when smax == 0
-        inv[kept] = 1.0 / fac.sigma[kept]
-        return cls(W=fac.W, sigma=fac.sigma, V=fac.V, inv_sigma=inv)
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.sigma).all():
+            raise ValueError("singular values overflow the float range")
+        smax = self.sigma[0] if self.sigma.size else 0.0
+        inv = np.zeros_like(self.sigma)
+        kept = self.sigma > PINV_CUTOFF * smax  # none when smax == 0
+        with np.errstate(over="ignore"):  # an inf is rejected below
+            inv[kept] = 1.0 / self.sigma[kept]
+        if not np.isfinite(inv).all():
+            raise ValueError("a kept singular value's reciprocal overflows the float range")
+        self.inv_sigma = inv
 
     @property
     def rows(self) -> int:
@@ -319,6 +266,10 @@ class PinvFactor(SvdFactors):
     @property
     def effective_rank(self) -> int:
         return int(np.count_nonzero(self.inv_sigma))
+
+    def dense(self) -> Matrix:
+        """Materialize W * diag(sigma) * V^T (small factors only)."""
+        return tracked((self.W * self.sigma) @ self.V.T)
 
     # No caller in ircur; kept because bench/shims.py wraps it and its tests check that.
     def apply_left(self, X: Matrix) -> Matrix:
@@ -347,14 +298,61 @@ class PinvFactor(SvdFactors):
         return np.matmul(T, Z, out=out)
 
 
-def pinv_factor(M: Matrix) -> PinvFactor:
+PinvFactor = SvdFactors  # the name bench/shims.py wraps apply_left and apply_right under
+
+
+def truncated_svd(M: Matrix, r: int) -> SvdFactors:
+    """Best rank-r approximation factors of M, with its pseudoinverse.
+
+    Returns min(r, min(M.shape)) singular triplets; if rank(M) < r the
+    trailing sigma entries are (numerically) zero.  When
+    2 * (r + RANGE_OVERSAMPLE) <= min(M.shape), only those triplets are
+    computed: Y = M Omega for a fixed-seed Gaussian Omega with
+    r + RANGE_OVERSAMPLE columns, then RANGE_POWER_STEPS times
+    Y = M (M^T orth(Y)), and the SVD of the small Q^T M with Q = orth(Y)
+    rotates into W = Q w.  The error in the kept subspace shrinks like
+    (sigma_{r+RANGE_OVERSAMPLE+1} / sigma_r)^(2 RANGE_POWER_STEPS + 1).
+    M (M^T Q) squares M's magnitude, so that path runs on M times the power
+    of two that brings max|M| into [0.5, 1) and divides sigma by it after;
+    a power of two scales every entry exactly, so W, V and sigma are
+    bitwise those of the unscaled path wherever its products neither
+    overflow nor underflow.  Smaller matrices (and every ``pinv_factor``,
+    where r = min(M.shape)) take an exact dense SVD.  Either path returns
+    :class:`SvdFactors`, which checks the spectrum: a singular value beyond
+    the float range (M's entries near its top), or a kept one too small to
+    invert (M's entries near its bottom), raises ValueError.
+    """
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    width = r + RANGE_OVERSAMPLE
+    if 2 * width > min(M.shape):
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        tracked(U), tracked(s), tracked(Vt)
+        k = min(r, s.size)
+        return SvdFactors(W=U[:, :k], sigma=s[:k], V=Vt[:k, :].T)
+    # max and min, not inf_norm: the benchmark counts inf_norm as an entry scan.
+    shift = -math.frexp(max(float(M.max()), -float(M.min())))[1]  # 0 for M == 0
+    M = tracked(np.ldexp(M, shift))
+    omega = np.random.default_rng(RANGE_SEED).standard_normal((M.shape[1], width))
+    Y = tracked(M @ tracked(omega))
+    for _ in range(RANGE_POWER_STEPS):
+        Q = tracked(np.linalg.qr(Y)[0])
+        Y = tracked(M @ tracked(M.T @ Q))
+    Q = tracked(np.linalg.qr(Y)[0])
+    w, s, Vt = np.linalg.svd(tracked(Q.T @ M), full_matrices=False)
+    tracked(w), tracked(s), tracked(Vt)
+    with np.errstate(over="ignore"):  # an overflow is an inf, rejected by SvdFactors
+        np.ldexp(s, -shift, out=s)
+    return SvdFactors(W=tracked(Q @ w[:, :r]), sigma=s[:r], V=Vt[:r, :].T)
+
+
+def pinv_factor(M: Matrix) -> SvdFactors:
     """Factored Moore-Penrose pseudoinverse of M.
 
     Singular values at or below ``PINV_CUTOFF * sigma_max`` are treated as
     zero.  An all-zero M yields a factor that maps everything to zero.
     """
-    fac = truncated_svd(M, min(M.shape))
-    return PinvFactor.from_svd(fac)
+    return truncated_svd(M, min(M.shape))
 
 
 def qr_thin(M: Matrix) -> tuple[Matrix, Matrix]:

@@ -22,7 +22,7 @@ float range are taken once per draw, by :func:`sample_slabs`.  The D slabs
 are only read, so the two index policies below differ only in when I and
 J are drawn.  The full n x n estimates are never materialized.
 
-L is evaluated in one way, :meth:`matcore.PinvFactor.apply_right`: on
+L is evaluated in one way, :meth:`matcore.SvdFactors.apply_right`: on
 rows x cols it is (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V
 the rank-k SVD of the core, costing
 O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).  :func:`cur_eval` gathers
@@ -64,7 +64,7 @@ import numpy as np
 from . import matcore
 from .matcore import (
     Matrix,
-    PinvFactor,
+    SvdFactors,
     frob_norm,
     frob_scale,
     inf_norm,
@@ -131,7 +131,7 @@ class CurFactors:
     """
 
     C: Matrix
-    core_pinv: PinvFactor
+    core_pinv: SvdFactors
     R: Matrix
     rows: IndexSet
     cols: IndexSet
@@ -232,7 +232,7 @@ def cur_eval(
 
     None selects every row or column, and that side uses C or R without a
     copy; with both None the full matrix is allocated (test scale only).
-    The product goes through :meth:`PinvFactor.apply_right`.
+    The product goes through :meth:`SvdFactors.apply_right`.
     """
     c = cur.C if rows is None else submatrix(cur.C, rows, None)
     r = cur.R if cols is None else submatrix(cur.R, None, cols)
@@ -300,9 +300,9 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     """One iteration from L_k on the slabs: (L_{k+1} factors, S_{k+1}, e).
 
     S_{k+1} is D - L_k thresholded at ``zeta``; the core H_r([D - S]_{I,J})
-    and its pseudoinverse share one SVD.  L_{k+1} is evaluated into the
-    record's L slabs, so a fixed-index caller steps the same record again;
-    the D slabs are only read.
+    and its pseudoinverse are one :class:`matcore.SvdFactors`.  L_{k+1} is
+    evaluated into the record's L slabs, so a fixed-index caller steps the
+    same record again; the D slabs are only read.
     e = (||[D-S-L]_{I,:}||_F + ||[D-S-L]_{:,J}||_F) / den (0 if den is 0),
     taken from the D - S slabs that also serve as the new R and C, on the
     draw's ``slabs.scale`` as den = ``slabs.den`` is.  The returned
@@ -317,10 +317,8 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
 
     # Phase II: CUR update with rank-truncated core.
     core = submatrix(r_new, None, cols)
-    fac = truncated_svd(core, rank)
-    cur = CurFactors(
-        C=c_new, core_pinv=PinvFactor.from_svd(fac), R=r_new, rows=rows, cols=cols
-    )
+    cur = CurFactors(C=c_new, core_pinv=truncated_svd(core, rank), R=r_new,
+                     rows=rows, cols=cols)
 
     # Stopping statistic on the slabs that produced this iterate.  The core
     # is R[:, J], and C[I] bitwise: the (I, J) blocks of D and L agree, so
@@ -353,8 +351,8 @@ def solve(
     With zeta0 given, a NaN or +-Inf raises ValueError only where a draw
     samples it, when :func:`sample_slabs` gathers that draw; an entry
     outside every draw is never read (see :mod:`ircur.solver`).  A core
-    whose singular values overflow the float range raises ValueError from
-    :func:`matcore.truncated_svd`.
+    spectrum beyond the float range raises ValueError where each step's
+    :func:`matcore.truncated_svd` makes its :class:`matcore.SvdFactors`.
 
     ``observer``, if given, is called after every executed step as
     ``observer(k, zeta_k, cur, sparse, e_k)`` with k = schedule index + 1,

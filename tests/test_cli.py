@@ -234,6 +234,24 @@ def test_solve_core_beyond_the_float_range_exits_one(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("power, flags", [(-1040, []), (1016, ["--svd"])],
+                         ids=["tiny-core", "huge-conversion"])
+def test_solve_spectrum_beyond_the_float_range_exits_one(tmp_path, capsys, power, flags):
+    # At 2^-1040 a kept core singular value is subnormal, so its reciprocal
+    # in U+ overflows; at 2^1016 the solve converges but L's own singular
+    # values overflow in the conversion.  Both are errors before any write.
+    inst = make_problem(SyntheticSpec(300, 5, 0.1, RngSeed(3)))
+    p = tmp_path / "scaled.bin"
+    write_matrix(np.ldexp(inst.D, power), p)
+    for mode in ("fixed", "resampled"):
+        out = tmp_path / mode
+        assert main(["solve", str(p), "--rank", "5", "--mode", mode, "--seed", "1",
+                     "--out-dir", str(out), *flags]) == 1, mode
+        err = capsys.readouterr().err
+        assert single_error_line(err) and "float range" in err, (mode, err)
+        assert not out.exists()
+
+
 def test_solve_max_iter_cap_exit_three(tmp_path):
     inst = make_problem(SyntheticSpec(60, 3, 0.2, RngSeed(21)))
     p = tmp_path / "hard.bin"

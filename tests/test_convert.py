@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from ircur import matcore
 from ircur.convert import cur_to_svd
 from ircur.matcore import frob_norm, inf_norm, pinv_factor
 from ircur.sampling import RngSeed, sample_indices
-from ircur.solver import cur_eval, sample_slabs, step
-from ircur.synth import gen_low_rank
+from ircur.solver import SolverConfig, cur_eval, sample_slabs, solve, step
+from ircur.synth import SyntheticSpec, gen_low_rank, make_problem
 
 rng = np.random.default_rng(123)
 
@@ -113,3 +115,32 @@ def test_cost_scales_linearly_in_ambient_dimension():
         allocs[n] = matcore.ALLOCATIONS.count
     assert allocs[200] <= 2.4 * allocs[100]
     assert allocs[400] <= 2.4 * allocs[200]
+
+
+@cache
+def sweep_instance():
+    return make_problem(SyntheticSpec(120, 3, 0.1, RngSeed(3))).D
+
+
+# Every 32nd binade from the smallest subnormal up, and the edges between.
+SWEEP_POWERS = [*range(-1074, 1017, 32), -1030, 1017, 1018, 1020]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "resampled"])
+@pytest.mark.parametrize("power", SWEEP_POWERS)
+def test_solve_and_convert_end_in_finite_factors_or_a_named_error(power, mode):
+    # At any power-of-two scale a solve and its conversion give finite
+    # factors or a ValueError that names why; never a LinAlgError (a
+    # ValueError subclass), a RuntimeWarning (an error under pytest) or an
+    # inf written into sigma.
+    D = np.ldexp(sweep_instance(), power)
+    try:
+        cur, _, _ = solve(D, SolverConfig(rank=3, mode=mode, seed=RngSeed(1)))
+        for M in (cur.C, cur.R, cur.core_pinv.sigma):
+            assert np.isfinite(M).all()
+        fac = cur_to_svd(cur.C, cur.core_pinv, cur.R)
+        for M in (fac.W, fac.sigma, fac.V):
+            assert np.isfinite(M).all()
+    except Exception as exc:
+        assert type(exc) is ValueError, repr(exc)
+        assert "float range" in str(exc) or "non-finite entries" in str(exc), repr(exc)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ircur import matcore
 from ircur.matcore import (
-    PinvFactor,
     SvdFactors,
     frob_norm,
     frob_scale,
@@ -383,8 +382,7 @@ def test_truncated_svd_range_finder_matches_exact_svd():
                          ids=["zero", "rank3"])
 def test_truncated_svd_range_finder_keeps_effective_rank(M):
     # PINV_CUTOFF must zero the same trailing values as on the exact path.
-    fast = PinvFactor.from_svd(truncated_svd(M, 5))
-    exact = PinvFactor.from_svd(exact_truncated_svd(M, 5))
+    fast, exact = truncated_svd(M, 5), exact_truncated_svd(M, 5)
     assert fast.sigma.size == exact.sigma.size == 5
     assert fast.effective_rank == exact.effective_rank == np.linalg.matrix_rank(M)
 
@@ -411,6 +409,23 @@ def test_truncated_svd_small_core_is_exact_svd():
     fac, exact = truncated_svd(M, 5), exact_truncated_svd(M, 5)
     for x, y in ((fac.W, exact.W), (fac.sigma, exact.sigma), (fac.V, exact.V)):
         assert np.array_equal(x, y)
+
+
+def test_svd_factors_is_the_one_factor_type():
+    assert matcore.PinvFactor is SvdFactors
+    fac = SvdFactors(W=np.eye(3), sigma=np.array([4.0, 2.0, 1e-13]), V=np.eye(3))
+    assert fac.inv_sigma.tolist() == [0.25, 0.5, 0.0] and fac.effective_rank == 2
+
+
+@pytest.mark.parametrize("sigma, text", [
+    ([math.inf, 1.0], "singular values overflow the float range"),
+    ([math.nan, 1.0], "singular values overflow the float range"),
+    ([2.0**-1040, 2.0**-1045], "reciprocal overflows the float range"),
+])
+def test_svd_factors_rejects_a_spectrum_beyond_the_float_range(sigma, text):
+    # An overflow warning escaping 1/sigma would fail here (RuntimeWarning is an error).
+    with pytest.raises(ValueError, match=text):
+        SvdFactors(W=np.eye(2), sigma=np.array(sigma), V=np.eye(2))
 
 
 def test_pinv_diagonal():
