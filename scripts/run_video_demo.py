@@ -31,9 +31,12 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    frames, background, _ = make_video(
-        args.width, args.height, args.frames, RngSeed(args.seed)
-    )
+    try:
+        frames, background, _ = make_video(
+            args.width, args.height, args.frames, RngSeed(args.seed)
+        )
+    except ValueError as exc:  # a frame too small for the blob
+        ap.error(str(exc))
     frame_dir = out / "frames"
     write_frame_dir(frames, frame_dir)
     print(f"wrote {args.frames} input frames to {frame_dir}")

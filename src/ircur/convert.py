@@ -8,17 +8,15 @@ A B^T for A = C V diag(inv_sigma) and B = R^T W.  With A = Q_A R_A and
 B = Q_B R_B it is Q_A (R_A R_B^T) Q_B^T, and the SVD of the small middle
 factor rotates into the final orthonormal factors.  Since
 k <= min(|I|, |J|), both A and B are tall even when C or R is wide.
+That SVD is :func:`matcore.pinv_factor`'s, so a singular value counts as
+zero by the one rule that decides it for the core, ``PINV_CUTOFF``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import Matrix, SvdFactors, qr_thin, tracked
-
-# Relative level below which converted singular values are reported as
-# exact zeros and their columns dropped, yielding a compact SVD.
-COMPACT_DROP = 1e-14
+from .matcore import Matrix, SvdFactors, pinv_factor, qr_thin, tracked
 
 
 def cur_to_svd(C: Matrix, core_pinv: SvdFactors, R: Matrix) -> SvdFactors:
@@ -26,10 +24,13 @@ def cur_to_svd(C: Matrix, core_pinv: SvdFactors, R: Matrix) -> SvdFactors:
 
     W and V have orthonormal columns and W * diag(sigma) * V^T reproduces
     the product.  The pseudoinverse is applied through its factored form,
-    inheriting the solver's rank truncation.  A middle factor R_A R_B^T
-    that is not finite (the product's singular values overflow before its
-    SVD) raises ValueError, and the :class:`SvdFactors` returned checks
-    sigma as every SVD in ircur does.
+    inheriting the solver's rank truncation.  The middle factor R_A R_B^T
+    is factored by :func:`matcore.pinv_factor`, and only its leading
+    max(1, effective_rank) triplets are kept: a singular value at or below
+    ``PINV_CUTOFF * sigma_max`` is dropped, and a zero product gives one
+    zero column.  A middle factor that is not finite (the product's
+    singular values overflow before its SVD) raises ValueError, and so
+    does a spectrum that :class:`SvdFactors` rejects.
     """
     if C.ndim != 2 or R.ndim != 2:
         raise ValueError("C and R must be 2-D matrices")
@@ -52,12 +53,7 @@ def cur_to_svd(C: Matrix, core_pinv: SvdFactors, R: Matrix) -> SvdFactors:
         middle = tracked(r_c @ r_r.T)
     if not np.isfinite(middle).all():
         raise ValueError("singular values overflow the float range")
-    w_u, sigma, v_u_t = np.linalg.svd(middle, full_matrices=False)
-    W = tracked(q_c @ w_u)
-    V = tracked(q_r @ v_u_t.T)
-    smax = sigma[0] if sigma.size else 0.0
-    if smax > 0.0:
-        keep = sigma >= COMPACT_DROP * smax
-        W, sigma, V = W[:, keep], sigma[keep], V[:, keep]
-    return SvdFactors(W=W, sigma=sigma, V=V)
-
+    mid = pinv_factor(middle)
+    k = max(1, mid.effective_rank)
+    return SvdFactors(W=tracked(q_c @ mid.W[:, :k]), sigma=mid.sigma[:k],
+                      V=tracked(q_r @ mid.V[:, :k]))

@@ -22,12 +22,12 @@ float range are taken once per draw, by :func:`sample_slabs`.  The D slabs
 are only read, so the two index policies below differ only in when I and
 J are drawn.  The full n x n estimates are never materialized.
 
-L is evaluated in one way, :meth:`matcore.SvdFactors.apply_right`: on
-rows x cols it is (C[rows] V Sigma^+) (W^T R[:, cols]) with W, Sigma, V
-the rank-k SVD of the core, costing
-O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).  :func:`cur_eval` gathers
-C[rows] and R[:, cols] itself; a step takes both from the core it already
-gathered (see :func:`_eval_slabs`).
+L is evaluated in one way, :func:`cur_eval`: on rows x cols it gathers
+C[rows] and R[:, cols] and forms (C[rows] V Sigma^+) (W^T R[:, cols])
+through :meth:`matcore.SvdFactors.apply_right`, with W, Sigma, V the
+rank-k SVD of the core, costing
+O(k(|rows|*|J| + |I|*|cols| + |rows|*|cols|)).  A draw and a step both
+fill their L slabs through it (see :func:`_eval_slabs`).
 
 Two index policies are provided: ``fixed`` keeps the I, J that step 1
 draws for the whole run (fastest, minimal data access); ``resampled``
@@ -187,9 +187,10 @@ class SolverTrace:
     in ``resampled``.  ``allocated`` records the allocation (8-byte
     scalar units) per step as seen by the matcore meter: per slab, D - S
     and two block-sized buffers (threshold and residual norm), plus the
-    L evaluation (and, on a step that draws, its gathers, including the
-    block temporaries of a gather across D's memory order, see
-    :func:`matcore.submatrix`); no S slab, residual slab or boolean array.
+    L evaluation with its gathers of C[I] and R[:, J] (and, on a step that
+    draws, the draw's gathers, including the block temporaries of a gather
+    across D's memory order, see :func:`matcore.submatrix`); no S slab,
+    residual slab or boolean array.
     sampled_rows/sampled_cols record |I| and |J| per step.
     """
 
@@ -226,9 +227,13 @@ def hard_threshold(D: Matrix, L: Matrix, zeta: float) -> Matrix:
 
 
 def cur_eval(
-    cur: CurFactors, rows: IndexSet | None = None, cols: IndexSet | None = None
+    cur: CurFactors,
+    rows: IndexSet | None = None,
+    cols: IndexSet | None = None,
+    out: Matrix | None = None,
 ) -> Matrix:
-    """The low-rank estimate C * U+ * R on rows x cols.
+    """The low-rank estimate C * U+ * R on rows x cols, written into ``out``
+    if given.
 
     None selects every row or column, and that side uses C or R without a
     copy; with both None the full matrix is allocated (test scale only).
@@ -236,21 +241,7 @@ def cur_eval(
     """
     c = cur.C if rows is None else submatrix(cur.C, rows, None)
     r = cur.R if cols is None else submatrix(cur.R, None, cols)
-    return cur.core_pinv.apply_right(c, r)
-
-
-def _eval_slabs(cur: CurFactors, rows: IndexSet, cols: IndexSet,
-                c_rows: Matrix, r_cols: Matrix, l_rows: Matrix, l_cols: Matrix) -> None:
-    """L into ``l_rows`` and ``l_cols``, bitwise as :func:`cur_eval` gives it,
-    from the caller's c_rows = C[rows] (C-order) and r_cols = R[:, cols]
-    (F-order)."""
-    pinv = cur.core_pinv
-    pinv.apply_right(c_rows, cur.R, l_rows)
-    pinv.apply_right(cur.C, r_cols, l_cols)
-    # The row and column slabs are separate GEMMs, so their (I, J) blocks can
-    # differ in the last ulp.  Copy the row view into the column view so
-    # downstream intersection blocks agree bitwise.
-    l_cols[rows.indices, :] = tracked(l_rows[:, cols.indices])
+    return cur.core_pinv.apply_right(c, r, out)
 
 
 @dataclass
@@ -270,6 +261,18 @@ class Slabs:
     scale: float
 
 
+def _eval_slabs(cur: CurFactors, slabs: Slabs) -> None:
+    """L on the draw's rows and columns into ``slabs.l_rows`` and
+    ``slabs.l_cols``, by :func:`cur_eval`."""
+    rows, cols = slabs.rows, slabs.cols
+    cur_eval(cur, rows, None, slabs.l_rows)
+    cur_eval(cur, None, cols, slabs.l_cols)
+    # The row and column slabs are separate GEMMs, so their (I, J) blocks can
+    # differ in the last ulp.  Copy the row view into the column view so
+    # downstream intersection blocks agree bitwise.
+    slabs.l_cols[rows.indices, :] = tracked(slabs.l_rows[:, cols.indices])
+
+
 def sample_slabs(
     D: Matrix, rows: IndexSet, cols: IndexSet, cur: CurFactors | None = None
 ) -> Slabs:
@@ -279,21 +282,16 @@ def sample_slabs(
     :func:`matcore.frob_scale` rejects a NaN or +-Inf in a D slab with
     ValueError.  Each L slab takes the memory order of its D slab (a column
     gather is F-order), so the slab passes of :func:`step` read both
-    contiguously.  ``cur`` is evaluated from the
-    gathers C[rows] and R[:, cols] of its factors.
+    contiguously.
     """
     d_rows = submatrix(D, rows, None)
     d_cols = submatrix(D, None, cols)
     den, scale = frob_scale(d_rows, d_cols)
-    if cur is None:
-        l_rows = tracked(np.zeros_like(d_rows))
-        l_cols = tracked(np.zeros_like(d_cols))
-    else:
-        l_rows = tracked(np.empty_like(d_rows))
-        l_cols = tracked(np.empty_like(d_cols))
-        _eval_slabs(cur, rows, cols, submatrix(cur.C, rows, None),
-                    submatrix(cur.R, None, cols), l_rows, l_cols)
-    return Slabs(rows, cols, d_rows, d_cols, l_rows, l_cols, den, scale)
+    slabs = Slabs(rows, cols, d_rows, d_cols, tracked(np.zeros_like(d_rows)),
+                  tracked(np.zeros_like(d_cols)), den, scale)
+    if cur is not None:
+        _eval_slabs(cur, slabs)
+    return slabs
 
 
 def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstimate, float]:
@@ -316,15 +314,11 @@ def step(slabs: Slabs, zeta: float, rank: int) -> tuple[CurFactors, SparseEstima
     c_new = hard_threshold(slabs.d_cols, slabs.l_cols, zeta)
 
     # Phase II: CUR update with rank-truncated core.
-    core = submatrix(r_new, None, cols)
-    cur = CurFactors(C=c_new, core_pinv=truncated_svd(core, rank), R=r_new,
-                     rows=rows, cols=cols)
+    core_pinv = truncated_svd(submatrix(r_new, None, cols), rank)
+    cur = CurFactors(C=c_new, core_pinv=core_pinv, R=r_new, rows=rows, cols=cols)
 
-    # Stopping statistic on the slabs that produced this iterate.  The core
-    # is R[:, J], and C[I] bitwise: the (I, J) blocks of D and L agree, so
-    # the two thresholds agree there too.
-    _eval_slabs(cur, rows, cols, tracked(core.copy(order="C")), core,
-                slabs.l_rows, slabs.l_cols)
+    # Stopping statistic on the slabs that produced this iterate.
+    _eval_slabs(cur, slabs)
     s = slabs.scale
     num = frob_norm(r_new, slabs.l_rows, s) + frob_norm(c_new, slabs.l_cols, s)
     e = num / slabs.den if slabs.den else 0.0

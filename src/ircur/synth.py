@@ -168,8 +168,15 @@ def make_video(
     and boxes[t] = (y0, y1, x0, x1) bounds the blob in frame t.  Blob
     pixels take the value farthest from the local background (255 where
     the background is dark, 0 where it is bright), so they are genuine
-    outliers at every position.
+    outliers at every position.  The blob must fit strictly inside a frame
+    (1 <= blob_size < min(width, height)) and n_frames >= 1, else
+    ValueError.
     """
+    if n_frames < 1 or not 1 <= blob_size < min(width, height):
+        raise ValueError(
+            "need n_frames >= 1 and 1 <= blob_size < min(width, height), got "
+            f"n_frames={n_frames}, blob_size={blob_size}, width={width}, height={height}"
+        )
     gen = seed.generator()
     yy, xx = np.mgrid[0:height, 0:width]
     base = 120.0 + 60.0 * np.sin(2 * np.pi * xx / width) * np.cos(2 * np.pi * yy / height)

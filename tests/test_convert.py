@@ -144,3 +144,31 @@ def test_solve_and_convert_end_in_finite_factors_or_a_named_error(power, mode):
     except Exception as exc:
         assert type(exc) is ValueError, repr(exc)
         assert "float range" in str(exc) or "non-finite entries" in str(exc), repr(exc)
+
+
+def padded_diag(values, n, wide=False):
+    # diag(values) in the leading block of an n x k (or, wide, k x n) matrix.
+    M = np.zeros((n, len(values)))
+    M[: len(values)] = np.diag(values)
+    return M.T.copy() if wide else M
+
+
+def test_a_sigma_under_the_pinv_cutoff_is_dropped():
+    # C U+ R = diag(1, 1e-13) padded: 1e-13 lies at or below PINV_CUTOFF
+    # times sigma_1, the one rule that decides a singular value is zero.
+    assert 1e-13 <= matcore.PINV_CUTOFF
+    C = padded_diag([1.0, 1e-6], 6)
+    R = padded_diag([1.0, 1e-7], 6, wide=True)
+    fac = cur_to_svd(C, pinv_factor(np.eye(2)), R)
+    np.testing.assert_allclose(fac.sigma, [1.0], rtol=1e-15)
+    np.testing.assert_allclose(np.abs(fac.W[:, 0]), np.eye(6)[:, 0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(fac.V[:, 0]), np.eye(6)[:, 0], atol=1e-15)
+
+
+def test_zero_product_with_a_nonzero_core_keeps_one_zero_column():
+    R = padded_diag([1.0, 1e-7], 6, wide=True)
+    fac = cur_to_svd(np.zeros((6, 2)), pinv_factor(np.eye(2)), R)
+    assert fac.sigma.tolist() == [0.0]
+    assert fac.W.shape == fac.V.shape == (6, 1)
+    np.testing.assert_allclose(fac.W.T @ fac.W, np.eye(1), atol=1e-12)
+    np.testing.assert_allclose(fac.V.T @ fac.V, np.eye(1), atol=1e-12)

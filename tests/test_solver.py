@@ -683,10 +683,10 @@ def assert_l_slabs_are_cur_eval(slabs, cur):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["fixed", "resampled"])
 def test_step_l_slabs_are_bitwise_cur_eval(mode, order):
-    # A step evaluates L_{k+1} from the core it gathered (C[I] and R[:, J]),
-    # and a resampled draw from fresh gathers of the last iterate's C and R;
-    # either way the L slabs are those of cur_eval.  D is rectangular and
-    # the cutoffs fall, so both phases write from the second step on.
+    # A step evaluates L_{k+1} on its draw, and a resampled draw the last
+    # iterate on fresh rows and columns; either way the L slabs are those of
+    # cur_eval.  D is rectangular and the cutoffs fall, so both phases write
+    # from the second step on.
     inst = make_problem(SyntheticSpec(150, 4, 0.1, RngSeed(97)))
     D = np.asarray(inst.D[:, :110], order=order)
     gen = RngSeed(98).generator()
@@ -702,6 +702,43 @@ def test_step_l_slabs_are_bitwise_cur_eval(mode, order):
         cur, sparse, _ = step(slabs, zeta, 4)
         assert_l_slabs_are_cur_eval(slabs, cur)
     assert sparse.row_values.any() and sparse.col_values.any()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_slab_l_is_cur_eval_bitwise(order):
+    # Every L slab comes from cur_eval: on a fresh draw with an L to
+    # evaluate, and on the draw a step evaluated its iterate on.  The
+    # column slab is cur_eval's outside the (I, J) block and the row
+    # slab's inside it.  cur_eval's ``out`` is the allocating call's result
+    # written into the caller's buffer.
+    inst = make_problem(SyntheticSpec(140, 4, 0.1, RngSeed(101)))
+    D = np.asarray(inst.D[:, :120], order=order)
+    gen = RngSeed(102).generator()
+
+    def draw():
+        return sample_indices(140, 45, gen), sample_indices(120, 40, gen)
+
+    def check(slabs, cur):
+        rows, cols = slabs.rows, slabs.cols
+        assert slabs.l_rows.tobytes("C") == cur_eval(cur, rows).tobytes("C")
+        outside = np.ones(D.shape[0], dtype=bool)
+        outside[rows.indices] = False
+        want_cols = cur_eval(cur, None, cols)
+        assert slabs.l_cols[outside].tobytes() == want_cols[outside].tobytes()
+        inside = slabs.l_cols[rows.indices, :]
+        assert inside.tobytes() == slabs.l_rows[:, cols.indices].tobytes()
+        for sel in ((rows, None), (None, cols)):
+            want = cur_eval(cur, *sel)
+            for buf_order in "CF":
+                buf = np.empty_like(want, order=buf_order)
+                assert cur_eval(cur, *sel, out=buf) is buf
+                assert buf.tobytes("C") == want.tobytes("C")
+
+    first, _, _ = step(sample_slabs(D, *draw()), 0.5 * inf_norm(inst.L), 4)
+    slabs = sample_slabs(D, *draw(), first)  # a fresh draw with an L to evaluate
+    check(slabs, first)
+    cur, _, _ = step(slabs, 0.2 * inf_norm(inst.L), 4)  # L_{k+1} on the same draw
+    check(slabs, cur)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -211,3 +211,22 @@ def test_make_video_shapes_and_ground_truth():
         outside = frames[t].copy()
         outside[y0:y1, x0:x1] = background[y0:y1, x0:x1]
         np.testing.assert_array_equal(outside, background)
+
+
+@pytest.mark.parametrize("width, height, n_frames, blob_size", [
+    (16, 14, 3, 14),  # a side equal to the blob divided by zero
+    (10, 10, 2, 14),  # a side below the blob clipped it and gave negative boxes
+    (16, 12, 3, 0),
+    (16, 12, 0, 4),
+])
+def test_make_video_rejects_a_frame_too_small_for_the_blob(width, height, n_frames, blob_size):
+    with pytest.raises(ValueError, match="blob_size < min"):
+        make_video(width, height, n_frames, RngSeed(22), blob_size=blob_size)
+
+
+def test_make_video_boxes_lie_inside_the_smallest_frame():
+    frames, _, boxes = make_video(16, 15, 9, RngSeed(22))  # blob_size 14
+    assert frames.shape == (9, 15, 16)
+    for y0, y1, x0, x1 in boxes:
+        assert 0 <= y0 < y1 <= 15 and 0 <= x0 < x1 <= 16
+        assert (y1 - y0, x1 - x0) == (14, 14)
